@@ -41,6 +41,7 @@ from .errors import (
     DimensionMismatch,
     HookcellsError,
     InconsistentParams,
+    InternalError,
     InvalidT,
     MalformedE,
     NonAdmissible,

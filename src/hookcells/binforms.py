@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, unipoly
-from .errors import DegenerateBasis, ZeroForm
+from .errors import DegenerateBasis, InternalError, ZeroForm
 
 
 def _frac(x) -> Fraction:
@@ -296,45 +296,37 @@ def change_basis(space: FormSpace, p: PointP1, c_form=None) -> FormSpace:
     ``c_form`` overrides the default complement with a pair (c, d) meaning
     C = c*x + d*y.
     """
+    if p == POINT_X and c_form is None:
+        return space  # (L, C) = (x, y): the identity frame, already in RREF
     a, b = p.a, p.b
     c, d = c_form if c_form is not None else p.complement_form()
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError("complement form is proportional to the point form")
-    # x = (d*L - b*C)/det,  y = (-c*L + a*C)/det
-    x_lc = (d / det, -b / det)
-    y_lc = (-c / det, a / det)
+    if a * d - b * c == 0:
+        raise DegenerateBasis(f"complement {c}*x + {d}*y is proportional to the form of the point {p}")
+    # x = (d*L - b*C)/det and y = (-c*L + a*C)/det.  A common factor of the
+    # two images scales every row by the same power and leaves the span
+    # unchanged, so they are taken as primitive integer vectors, and so is
+    # each row.
+    xu, xv, yu, yv = unipoly.integer_model([d, -b, -c, a])
     j = space.degree
-
-    def pow_coeffs(lin, n):
-        """Coefficients of (u*L + v*C)^n on L^(n-k) C^k."""
-        u, v = lin
-        out = [Fraction(0)] * (n + 1)
-        for k in range(n + 1):
-            out[k] = _comb(n, k) * u ** (n - k) * v**k
-        return out
-
+    y_pows = [[1]]
+    for _ in range(j):
+        y_pows.append(_times_linear(y_pows[-1], yu, yv))
     rows = []
     for f in space.basis:
-        acc = [Fraction(0)] * (j + 1)
-        for (xp, yp), coef in f.monomials().items():
-            px = pow_coeffs(x_lc, xp)
-            py = pow_coeffs(y_lc, yp)
-            for k1, c1 in enumerate(px):
-                if c1 == 0:
-                    continue
-                for k2, c2 in enumerate(py):
-                    if c2 == 0:
-                        continue
-                    acc[k1 + k2] += coef * c1 * c2
+        coeffs = unipoly.integer_model(f.coeffs)
+        # homogeneous Horner: acc <- acc * x + c_k y^k
+        acc = [coeffs[0]]
+        for k in range(1, j + 1):
+            acc = _times_linear(acc, xu, xv)
+            if coeffs[k]:
+                acc = [s + coeffs[k] * t for s, t in zip(acc, y_pows[k])]
         rows.append(acc)
-    return FormSpace.span(j, rows)
+    return FormSpace(j, rows)
 
 
-def _comb(n, k):
-    from math import comb
-
-    return Fraction(comb(n, k))
+def _times_linear(g, u, v):
+    """The form g (coefficients on L^(n-k) C^k) times u*L + v*C."""
+    return [u * g[0]] + [u * g[i] + v * g[i - 1] for i in range(1, len(g))] + [v * g[-1]]
 
 
 def initial_space(space: FormSpace, p: PointP1) -> tuple[tuple[int, int], ...]:
@@ -352,7 +344,8 @@ def ram_data(space: FormSpace, p: PointP1, c_form=None) -> RamData:
     cob = sorted(j - k for k in range(j + 1) if k not in set(lc.pivots))
     q = tuple(sorted((a - i for i, a in enumerate(cob)), reverse=True))
     # the two partitions are complement-duals of each other inside their boxes
-    assert qram == conjugate_with_zeros(box_complement(q, j + 1 - d, d), d)
+    if qram != conjugate_with_zeros(box_complement(q, j + 1 - d, d), d):
+        raise InternalError(f"QRAM {qram} and code {q} at {p} are not complement-dual")
     return RamData(tuple(ns), qram, q, sum(qram))
 
 
@@ -375,14 +368,19 @@ def wronskian(space: FormSpace) -> BinaryForm:
             rows.append([unipoly.derivative(q) for q in rows[-1]])
         return unipoly.det([[rows[r][i] for i in range(d)] for r in range(d)])
 
-    wx = one_variable([f.coeff_poly_in_x() for f in space.basis])
-    wy = one_variable([f.coeff_poly_in_y() for f in space.basis])
-    assert not unipoly.is_zero(wx) and not unipoly.is_zero(wy)
+    # each row's primitive integer model: the scale factors drop out when the
+    # result is normalized
+    models = [unipoly.integer_model(f.coeffs) for f in space.basis]
+    wx = one_variable([unipoly.trim(m[::-1]) for m in models])
+    wy = one_variable([unipoly.trim(m) for m in models])
+    if unipoly.is_zero(wx) or unipoly.is_zero(wy):
+        raise InternalError(f"zero Wronskian for the independent basis {space.basis}")
     hx = {(m, n_deg - m): c for m, c in enumerate(wx) if c != 0}
     hy = {(n_deg - m, m): c for m, c in enumerate(wy) if c != 0}
     fx = BinaryForm.from_monomials(n_deg, hx).normalized()
     fy = BinaryForm.from_monomials(n_deg, hy).normalized()
-    assert fx == fy, "x- and y-dehomogenized Wronskians disagree"
+    if fx != fy:
+        raise InternalError(f"x- and y-dehomogenized Wronskians disagree: {fx} != {fy}")
     return fx
 
 
@@ -390,18 +388,12 @@ def point_valuation(form: BinaryForm, p: PointP1) -> int:
     """Multiplicity of the linear form of ``p`` as a factor of ``form``."""
     if form.is_zero:
         raise ZeroForm("valuation of the zero form")
+    px = form.coeff_poly_in_x()
     if p.a == 0:
-        px = form.coeff_poly_in_x()
         return form.degree - unipoly.degree(px)
     # root of f(x, 1) at x = -b/a = -b (a normalized to 1)
-    poly = form.coeff_poly_in_x()
     root = -p.b
-    mult = 0
-    while unipoly.eval_at(poly, root) == 0:
-        poly, rem = unipoly.divmod_(poly, [-root, Fraction(1)])
-        assert unipoly.is_zero(rem)
-        mult += 1
-    return mult
+    return unipoly.root_multiplicity(unipoly.integer_model(px), root.numerator, root.denominator)[0]
 
 
 @dataclass(frozen=True)
@@ -433,6 +425,6 @@ def total_ramification_check(space: FormSpace) -> RamificationSummary:
         vals[PointP1(1, -root)] = mult
     for point, mult in vals.items():
         if ram_data(space, point).total != mult:
-            raise AssertionError(f"valuation {mult} at {point} disagrees with ramification data")
+            raise InternalError(f"valuation {mult} at {point} disagrees with ramification data")
     irr = n_deg - sum(vals.values())
     return RamificationSummary(n_deg, vals, irr)

@@ -59,3 +59,8 @@ class OutOfRange(HookcellsError):
 
 class ZeroForm(HookcellsError):
     """The zero form was passed where a nonzero form is required."""
+
+
+class InternalError(HookcellsError):
+    """An internal invariant failed: two exact computations that must agree
+    did not.  This is a bug in the package, never a property of the input."""

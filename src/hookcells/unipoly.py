@@ -1,16 +1,19 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials with exact coefficients.
 
-A polynomial is a list of :class:`~fractions.Fraction` coefficients indexed by
-power; the zero polynomial is ``[Fraction(0)]``.  Just enough arithmetic for
-Wronskians, determinants with polynomial entries and exact rational root
-extraction.
+A polynomial is a list of coefficients indexed by power; the zero polynomial
+is ``[0]``.  The arithmetic keeps the coefficient type it is given, so
+integer polynomials stay integer and :class:`~fractions.Fraction` ones stay
+rational.  Just enough of it for Wronskians, determinants with polynomial
+entries and exact rational root extraction.
 """
 
 import math
 import random
 from fractions import Fraction
 
-ZERO = (Fraction(0),)
+from .errors import InternalError, ZeroForm
+
+ZERO = (0,)
 
 
 def trim(p):
@@ -30,23 +33,16 @@ def degree(p):
 
 
 def add(p, q):
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def sub(p, q):
-    return add(p, [-c for c in q])
-
-
-def scale(p, c):
-    c = Fraction(c)
-    return trim([c * x for x in p])
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return trim(out)
 
 
 def mul(p, q):
-    if is_zero(p) or is_zero(q):
-        return list(ZERO)
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for k, b in enumerate(q):
@@ -55,42 +51,16 @@ def mul(p, q):
 
 
 def derivative(p):
-    return trim([Fraction(i) * p[i] for i in range(1, len(p))]) if len(p) > 1 else list(ZERO)
+    return trim([i * p[i] for i in range(1, len(p))]) if len(p) > 1 else list(ZERO)
 
 
-def eval_at(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def divmod_(p, q):
-    if is_zero(q):
-        raise ZeroDivisionError("polynomial division by zero")
-    p = trim(p)
-    q = trim(q)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 1)
-    rem = list(p)
-    dq = len(q) - 1
-    lead = q[-1]
-    while not is_zero(rem) and len(rem) - 1 >= dq:
-        shift = len(rem) - 1 - dq
-        c = rem[-1] / lead
-        quo[shift] = c
-        for i in range(len(q)):
-            rem[shift + i] -= c * q[i]
-        rem = trim(rem)
-    return trim(quo), rem
-
-
-def gcd(p, q):
-    a, b = trim(p), trim(q)
-    while not is_zero(b):
-        a, b = b, divmod_(a, b)[1]
-    if is_zero(a):
-        return list(ZERO)
-    return scale(a, 1 / a[-1])
+def integer_model(p):
+    """The primitive integer multiple of the coefficient list ``p``: ``p``
+    times the lcm of its denominators, divided by the gcd of the result."""
+    den = math.lcm(*(c.denominator for c in p))
+    ip = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*ip) or 1
+    return [c // g for c in ip]
 
 
 def det(matrix):
@@ -101,12 +71,12 @@ def det(matrix):
     """
     n = len(matrix)
     if n == 0:
-        return [Fraction(1)]
+        return [1]
     memo = {}
 
     def minor(row, colmask):
         if row == n:
-            return [Fraction(1)]
+            return [1]
         key = colmask
         if key in memo:
             return memo[key]
@@ -195,19 +165,59 @@ def _divisors(n):
     return divs
 
 
+def _divides(m, n):
+    return n % m == 0 if m else n == 0
+
+
+def _value(ip, a, b):
+    """``b^n ip(a/b)`` for an integer polynomial ``ip`` of degree n: the
+    integer sum of ``c_i a^i b^(n-i)``, zero exactly when a/b is a root."""
+    acc, bp = 0, 1
+    for c in reversed(ip):
+        acc = acc * a + c * bp
+        bp *= b
+    return acc
+
+
+def _deflate(ip, a, b):
+    """Exact integer quotient of ``ip`` by ``b x - a``; a/b must be a root."""
+    n = len(ip) - 1
+    quo = [0] * n
+    carry = 0  # g_(k-1) = (c_k + a g_k) / b, from the top down
+    for k in range(n, 0, -1):
+        carry, rem = divmod(ip[k] + a * carry, b)
+        if rem:
+            raise InternalError(f"{a}/{b} is not a root: inexact deflation of {ip}")
+        quo[k - 1] = carry
+    if ip[0] != -a * quo[0]:
+        raise InternalError(f"{a}/{b} is not a root: nonzero remainder deflating {ip}")
+    return quo
+
+
+def root_multiplicity(ip, a, b):
+    """Multiplicity of the root a/b (b > 0, a/b in lowest terms) of the
+    integer polynomial ``ip``, and the cofactor left after removing it."""
+    mult = 0
+    while len(ip) > 1 and _value(ip, a, b) == 0:
+        ip = _deflate(ip, a, b)
+        mult += 1
+    return mult, ip
+
+
 def rational_roots(p):
     """Rational roots of ``p`` with multiplicities, as a dict root -> mult.
 
-    Exact: candidates come from the rational root theorem applied to the
-    primitive integer model of ``p``; multiplicities by repeated deflation.
+    Exact: candidates a/b come from the rational root theorem applied to the
+    primitive integer model of ``p``.  A root a/b makes ``b x - a`` an
+    integer factor, so ``b - a`` divides ``p(1)`` and ``b + a`` divides
+    ``p(-1)``; candidates failing either test are skipped, and the others are
+    tested with the exact integer value ``b^n p(a/b)``.  Multiplicities come
+    from repeated exact integer deflation.
     """
     p = trim(p)
     if is_zero(p):
-        raise ValueError("zero polynomial has every root")
-    den = math.lcm(*(c.denominator for c in p))
-    ip = [int(c * den) for c in p]
-    g = math.gcd(*ip)
-    ip = [c // g for c in ip]
+        raise ZeroForm("the zero polynomial has every root")
+    ip = integer_model(p)
     roots = {}
     k = 0
     while ip[k] == 0:
@@ -217,15 +227,19 @@ def rational_roots(p):
         ip = ip[k:]
     if len(ip) == 1:
         return roots
-    cands = {Fraction(s * num, d) for num in _divisors(abs(ip[0]))
-             for d in _divisors(abs(ip[-1])) for s in (1, -1)}
-    fp = [Fraction(c) for c in ip]
-    for r in sorted(cands):
-        mult = 0
-        while eval_at(fp, r) == 0:
-            fp, rem = divmod_(fp, [-r, Fraction(1)])
-            assert is_zero(rem)
-            mult += 1
-        if mult:
-            roots[r] = mult
+    at_one, at_minus_one = sum(ip), sum(ip[::2]) - sum(ip[1::2])
+    found = {}
+    for num in _divisors(abs(ip[0])):
+        for b in _divisors(abs(ip[-1])):
+            for a in (num, -num):
+                if not (_divides(b - a, at_one) and _divides(b + a, at_minus_one)):
+                    continue
+                if math.gcd(a, b) != 1:
+                    continue  # a/b in lowest terms is another candidate
+                mult, ip = root_multiplicity(ip, a, b)
+                if mult:
+                    found[Fraction(a, b)] = mult
+                    at_one, at_minus_one = sum(ip), sum(ip[::2]) - sum(ip[1::2])
+    for r in sorted(found):
+        roots[r] = found[r]
     return roots
