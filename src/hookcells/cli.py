@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import binforms, cells, hookcode, partitions, schubert, secant
 from .errors import HookcellsError
@@ -23,14 +22,6 @@ def dumps(data) -> str:
 
 def _parse_ints(text):
     return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _fraction_pair(text):
-    try:
-        c, d = (Fraction(v) for v in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected two rationals c,d, got {text!r}") from None
-    return c, d
 
 
 def _load_json(path):
@@ -144,7 +135,7 @@ def cmd_wronskian(args):
 def cmd_qram(args):
     space = binforms.FormSpace.from_json(_load_json(args.space))
     p = binforms.PointP1.parse(args.point)
-    rd = binforms.ram_data(space, p, args.complement)
+    rd = binforms.ram_data(space, p)
     _emit(
         args,
         rd.to_json(),
@@ -259,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(("qram",), cmd_qram, help="ramification of a form space at a point")
     p.add_argument("--space", required=True)
     p.add_argument("--point", required=True, help="a,b for the form a*x+b*y")
-    p.add_argument("--complement", type=_fraction_pair, default=None,
-                   help="c,d for the complement c*x+d*y (default y, or x at y = 0)")
 
     p = add(("build-ideal",), cmd_build_ideal, help="ideal from cell parameters")
     p.add_argument("--params", required=True, help="cell parameters JSON file")

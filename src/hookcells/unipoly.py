@@ -229,8 +229,11 @@ def rational_roots(p):
         return roots
     at_one, at_minus_one = sum(ip), sum(ip[::2]) - sum(ip[1::2])
     found = {}
-    for num in _divisors(abs(ip[0])):
-        for b in _divisors(abs(ip[-1])):
+    nums, dens = _divisors(abs(ip[0])), _divisors(abs(ip[-1]))
+    for num in nums:
+        for b in dens:
+            if ip[0] % num or ip[-1] % b:
+                continue  # no longer divides the deflated end coefficients
             for a in (num, -num):
                 if not (_divides(b - a, at_one) and _divides(b + a, at_minus_one)):
                     continue

@@ -84,21 +84,12 @@ def test_wronskian_and_qram(tmp_path, capsys):
     assert "QRAM: [1, 1]" in out and "(r = 2)" in out
 
 
-def test_qram_proportional_complement_is_a_domain_error(tmp_path, capsys):
-    space = FormSpace(3, [[1, 0, 2, 0], [0, 1, 0, 1]])
+def test_qram_dependent_basis_is_a_domain_error(tmp_path, capsys):
     path = tmp_path / "space.json"
-    path.write_text(json.dumps(space.to_json()))
-    code, out, err = run(capsys, "qram", "--space", str(path), "--point", "1,2", "--complement", "2,4")
+    path.write_text(json.dumps({"degree": 3, "basis": [["1", "0", "2", "0"], ["2", "0", "4", "0"]]}))
+    code, out, err = run(capsys, "qram", "--space", str(path), "--point", "1,2")
     assert code == 1 and out == ""
     assert err.startswith("DegenerateBasis") and "Traceback" not in err
-    code, out, _ = run(capsys, "qram", "--space", str(path), "--point", "1,2", "--complement", "1,1",
-                       "--format", "json")
-    assert code == 0
-    _, default, _ = run(capsys, "qram", "--space", str(path), "--point", "1,2", "--format", "json")
-    assert out == default
-    with pytest.raises(SystemExit) as exc:
-        main(["qram", "--space", str(path), "--point", "1,2", "--complement", "1/0,1"])
-    assert exc.value.code == 2
 
 
 def test_build_ideal_cmd(tmp_path, capsys):

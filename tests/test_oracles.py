@@ -119,6 +119,20 @@ def test_rational_roots_of_known_factors(case):
         assert point_valuation(form, pt) == oracles.point_valuation(form, pt)
 
 
+def test_rational_roots_factorizes_each_end_coefficient_once(monkeypatch):
+    # constant term -360360 has 192 divisors; the leading coefficient is a
+    # semiprime that only Pollard rho splits
+    lead = 1000003 * 999999937
+    p = unipoly.mul(unipoly.mul([-1, 1], [3, 1]), [120120, 0, lead])
+    calls = []
+    factorize = unipoly.factorize
+    monkeypatch.setattr(unipoly, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert unipoly.rational_roots(p) == {F(-3): 1, F(1): 1}
+    assert sorted(calls) == [360360, lead]
+    monkeypatch.undo()
+    assert unipoly.rational_roots(p) == oracles.rational_roots(p)
+
+
 @SETTINGS
 @given(st.one_of(dense_spaces(max_d=3, max_j=7), two_point_spaces(max_d=4, max_j=8)))
 def test_total_ramification_points_match_oracles(V):
