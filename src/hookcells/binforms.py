@@ -232,8 +232,15 @@ class FormSpace:
         return self.degree + 1 - self.dim
 
     def contains(self, form: BinaryForm) -> bool:
-        rows = [list(f.coeffs) for f in self.basis]
-        return linalg.in_rowspace(list(form.coeffs), rows, self.degree + 1)
+        """Membership by reduction against the stored basis: each row is 1 at
+        its pivot and 0 at every other pivot, so subtracting ``v[pivot]`` times
+        each row leaves zero exactly when the form lies in the space."""
+        v = self._row(self.degree, form)
+        for row, p in zip(self.basis, self.pivots):
+            c = v[p]
+            if c:
+                v = [a - c * b for a, b in zip(v, row.coeffs)]
+        return not any(v)
 
     def initial_monomials(self) -> tuple[tuple[int, int], ...]:
         """Initial monomials of the space as (x_power, y_power), by valuation."""

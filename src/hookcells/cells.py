@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .binforms import BinaryForm, FormSpace, PointP1, POINT_X, format_fraction, parse_fraction, ram_data
-from .errors import InconsistentParams, InvalidT, NotAnIdeal, NotInBigCell
+from .errors import InconsistentParams, InternalError, InvalidT, NotAnIdeal, NotInBigCell
 from .partitions import HilbertFunction, Partition, as_hilbert, hooks, t_invariants
 
 Monomial = tuple[int, int]
@@ -246,21 +246,29 @@ def _shift(term: dict, dm: Monomial) -> dict:
     return {(m[0] + dm[0], m[1] + dm[1]): c for m, c in term.items()}
 
 
+def _column_generator(m: Monomial, q) -> tuple[int, Monomial]:
+    """The standard generator of column k = min(m[0], p0), whose initial
+    monomial x^k y^(q(k)) divides the ideal monomial ``m``, and the shift
+    taking that monomial to ``m``."""
+    k = min(m[0], len(q) - 1)
+    if q[k] > m[1]:
+        raise InternalError(f"ideal monomial {mono_str(m)} is not divisible by its column generator")
+    return k, (m[0] - k, m[1] - q[k])
+
+
 def _reduce_by_generators(g: dict, gens: dict, E: MonomialIdeal, q) -> dict:
     """Divide away every ideal-monomial term of ``g`` using the standard
     generators of x-power above the current one; the remainder is supported
     on cobasis monomials."""
-    p0 = len(q) - 1
     g = {m: c for m, c in g.items() if c != 0}
     while True:
         inside = [m for m in g if E.contains(m)]
         if not inside:
             return g
         m = min(inside, key=mono_key)
-        k = min(m[0], p0)
-        assert q[k] <= m[1], "ideal monomial not divisible by its column generator"
+        k, shift = _column_generator(m, q)
         coef = g[m]
-        for mm, cc in _shift(gens[k], (m[0] - k, m[1] - q[k])).items():
+        for mm, cc in _shift(gens[k], shift).items():
             g[mm] = g.get(mm, Fraction(0)) - coef * cc
             if g[mm] == 0:
                 del g[mm]
@@ -274,8 +282,11 @@ def build_ideal(params: CellParams) -> GradedIdeal:
     the S(E) hands; multiplying by x and reducing against the generators
     already built leaves a remainder supported on x-shifts of cobasis
     monomials, and cancelling that remainder forces the remaining tail
-    coefficients.  The degreewise pieces are then spanned by the monomial
-    multiples of the generators.
+    coefficients.  Each degreewise piece then takes one generator multiple
+    per ideal monomial of its degree, the multiple whose initial monomial it
+    is.  Distinct initial monomials make these a basis; the closure check of
+    :class:`GradedIdeal` then shows that every other generator multiple lies
+    in the pieces too.
     """
     E = params.ideal
     T = E.hilbert_function
@@ -306,17 +317,11 @@ def build_ideal(params: CellParams) -> GradedIdeal:
     }
     pieces = {}
     for d in range(T.mu, T.j + 1):
-        spanning = []
-        for c, form in forms.items():
-            deg = form.degree
-            if deg > d:
-                continue
-            for yp in range(d - deg + 1):
-                xp = d - deg - yp
-                spanning.append(
-                    BinaryForm.from_monomials(d, _shift(gens[c], (xp, yp)))
-                )
-        space = FormSpace.span(d, spanning)
+        rows = []
+        for m in E.piece(d):
+            k, shift = _column_generator(m, q)
+            rows.append(BinaryForm.from_monomials(d, _shift(gens[k], shift)))
+        space = FormSpace(d, rows)
         if space.dim != d + 1 - T.value(d):
             raise InconsistentParams(
                 f"degree-{d} piece came out {space.dim}-dimensional"
@@ -388,7 +393,8 @@ def dims(E: MonomialIdeal) -> CellDims:
     h0 = sum(1 for h in hooks(P) if h.difference == 0)
     z = inv.n - hm1 - h0
     v = z - inv.f_t
-    assert v == h1, "cell dimension formulas disagree"
+    if v != h1:
+        raise InternalError(f"cell dimension formulas disagree for {E}: {v} != {h1}")
     return CellDims(h1, hm1, z, v)
 
 

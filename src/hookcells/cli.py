@@ -24,6 +24,15 @@ def _parse_ints(text):
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _point(text):
+    try:
+        return binforms.PointP1.parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid point {text!r}: expected a,b with rationals a and b not both 0"
+        ) from None
+
+
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -134,8 +143,7 @@ def cmd_wronskian(args):
 
 def cmd_qram(args):
     space = binforms.FormSpace.from_json(_load_json(args.space))
-    p = binforms.PointP1.parse(args.point)
-    rd = binforms.ram_data(space, p)
+    rd = binforms.ram_data(space, args.point)
     _emit(
         args,
         rd.to_json(),
@@ -249,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add(("qram",), cmd_qram, help="ramification of a form space at a point")
     p.add_argument("--space", required=True)
-    p.add_argument("--point", required=True, help="a,b for the form a*x+b*y")
+    p.add_argument("--point", required=True, type=_point, help="a,b for the form a*x+b*y")
 
     p = add(("build-ideal",), cmd_build_ideal, help="ideal from cell parameters")
     p.add_argument("--params", required=True, help="cell parameters JSON file")

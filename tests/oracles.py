@@ -3,8 +3,9 @@
 These are the straightforward versions the library's fast paths replaced:
 a Laplace determinant over :class:`~fractions.Fraction` polynomials, a
 rational root search that evaluates every rational-root-theorem candidate
-with Fraction arithmetic, and a frame change that expands every monomial
-binomially.  They share no code with the paths they check.
+with Fraction arithmetic, a frame change that expands every monomial
+binomially, and ideal pieces spanned by every monomial multiple of the
+generators.  They share no code with the paths they check.
 """
 
 import math
@@ -186,3 +187,18 @@ def ram_data(space, p, c_form=None):
     q = tuple(sorted((a - i for i, a in enumerate(cob)), reverse=True))
     assert qram == conjugate_with_zeros(box_complement(q, j + 1 - d, d), d)
     return tuple(ns), qram, q
+
+
+def ideal_pieces(generators, T):
+    """Degreewise pieces of the ideal generated by ``generators`` in degrees
+    T.mu..T.j, each the span of every monomial multiple of every generator of
+    at most that degree, reduced from the overcomplete set."""
+    pieces = {}
+    for d in range(T.mu, T.j + 1):
+        spanning = [
+            BinaryForm(d, (0,) * yp + g.coeffs + (0,) * (d - g.degree - yp))
+            for g in generators
+            for yp in range(d - g.degree + 1)
+        ]
+        pieces[d] = FormSpace.span(d, spanning)
+    return pieces

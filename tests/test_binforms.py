@@ -215,3 +215,12 @@ def test_point_normalization():
     assert PointP1(0, 5) == PointP1(0, 1)
     with pytest.raises(ValueError):
         PointP1(0, 0)
+
+
+def test_contains_rejects_a_form_of_another_degree():
+    V = FormSpace(2, [[1, 0, 0], [0, 1, 0]])
+    assert V.contains(BinaryForm(2, [3, -2, 0]))
+    assert not V.contains(BinaryForm(2, [0, 0, 1]))
+    for form in (BinaryForm(3, [1, 0, 0, 5]), BinaryForm(1, [0, 1])):
+        with pytest.raises(ValueError, match="mixed degrees"):
+            V.contains(form)

@@ -92,6 +92,17 @@ def test_qram_dependent_basis_is_a_domain_error(tmp_path, capsys):
     assert err.startswith("DegenerateBasis") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("point", ["0,0", "1/0,2", "1,2,3", "abc"])
+def test_qram_malformed_point_is_a_usage_error(tmp_path, capsys, point):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(FormSpace(2, [[1, 0, 0]]).to_json()))
+    with pytest.raises(SystemExit) as exc:
+        main(["qram", "--space", str(path), "--point", point])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "--point" in err and "Traceback" not in err
+
+
 def test_build_ideal_cmd(tmp_path, capsys):
     params = {
         "partition": [2, 2],

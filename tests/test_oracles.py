@@ -1,5 +1,7 @@
 """Differential tests: the integer Wronskian, the filtered rational root
-search and the Horner frame change against the slow paths in ``oracles``."""
+search, the Horner frame change, membership by pivot reduction and the
+triangular ideal pieces against the slow paths in ``oracles`` and
+``linalg.in_rowspace``."""
 
 from fractions import Fraction as F
 from math import comb
@@ -10,17 +12,23 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import oracles
 from hookcells import (
     BinaryForm,
+    CellParams,
     FormSpace,
+    MonomialIdeal,
+    Partition,
     POINT_X,
     POINT_Y,
     PointP1,
+    build_ideal,
     change_basis,
+    initial_ideal,
+    pair_set_S,
     point_valuation,
     ram_data,
     total_ramification_check,
     wronskian,
 )
-from hookcells import unipoly
+from hookcells import linalg, unipoly
 from hookcells.errors import DegenerateBasis, ZeroForm
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -185,3 +193,49 @@ def test_proportional_complement_is_a_degenerate_basis():
         change_basis(V, PointP1(1, 2), c_form=(F(2), F(4)))
     with pytest.raises(DegenerateBasis):
         ram_data(V, POINT_Y, c_form=(0, 3))
+
+
+@st.composite
+def spaces_and_vectors(draw):
+    """A space of degree-j forms, j <= 8, of any dimension, with a vector
+    inside it (a combination of its rows) or, as likely, a random vector."""
+    j = draw(st.integers(0, 8))
+    d = draw(st.integers(0, j + 1))
+    rows = draw(st.lists(st.lists(entries, min_size=j + 1, max_size=j + 1), min_size=d, max_size=d))
+    try:
+        V = FormSpace(j, rows)
+    except DegenerateBasis:
+        assume(False)
+    if draw(st.booleans()):
+        combo = draw(st.lists(small, min_size=d, max_size=d))
+        v = [sum((a * r for a, r in zip(combo, col)), F(0)) for col in zip(*rows)] if d else [F(0)] * (j + 1)
+    else:
+        v = draw(st.lists(entries, min_size=j + 1, max_size=j + 1))
+    return V, rows, v
+
+
+@SETTINGS
+@given(spaces_and_vectors())
+def test_contains_matches_in_rowspace(case):
+    V, rows, v = case
+    assert V.contains(BinaryForm(V.degree, v)) == linalg.in_rowspace(v, rows, V.degree + 1)
+
+
+@st.composite
+def cell_params(draw, max_n=8):
+    """Random coordinates on the cell of a random shape with at most max_n boxes."""
+    left = draw(st.integers(1, max_n))
+    parts = []
+    while left:
+        parts.append(draw(st.integers(1, min(left, parts[-1] if parts else left))))
+        left -= parts[-1]
+    E = MonomialIdeal(Partition(parts))
+    return CellParams(E, {pair: draw(entries) for pair in pair_set_S(E)})
+
+
+@SETTINGS
+@given(cell_params())
+def test_build_ideal_pieces_match_overcomplete_span(params):
+    ideal = build_ideal(params)
+    assert ideal.pieces == oracles.ideal_pieces(ideal.generators, ideal.hilbert_function)
+    assert initial_ideal(ideal) == params.ideal
