@@ -41,6 +41,7 @@ from .errors import (
     DimensionMismatch,
     HookcellsError,
     InconsistentParams,
+    InputFileError,
     InternalError,
     InvalidT,
     MalformedE,

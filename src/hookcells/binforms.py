@@ -15,18 +15,11 @@ from fractions import Fraction
 
 from . import linalg, unipoly
 from .errors import DegenerateBasis, InternalError, ZeroForm
+from .partitions import box_complement
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
-def parse_fraction(s) -> Fraction:
-    return Fraction(s)
 
 
 class BinaryForm:
@@ -119,11 +112,11 @@ class BinaryForm:
         return f"BinaryForm({self.degree}, {self!s})"
 
     def to_json(self):
-        return {"degree": self.degree, "coeffs": [format_fraction(c) for c in self.coeffs]}
+        return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data) -> "BinaryForm":
-        return cls(int(data["degree"]), [parse_fraction(c) for c in data["coeffs"]])
+        return cls(int(data["degree"]), [Fraction(c) for c in data["coeffs"]])
 
 
 @dataclass(frozen=True)
@@ -157,13 +150,13 @@ class PointP1:
     @classmethod
     def parse(cls, text: str) -> "PointP1":
         a, b = text.split(",")
-        return cls(parse_fraction(a), parse_fraction(b))
+        return cls(Fraction(a), Fraction(b))
 
     def __str__(self):
         return f"{self.a},{self.b}"
 
     def to_json(self):
-        return [format_fraction(self.a), format_fraction(self.b)]
+        return [str(self.a), str(self.b)]
 
 
 POINT_X = PointP1(1, 0)  # the point x = 0
@@ -249,12 +242,12 @@ class FormSpace:
     def to_json(self):
         return {
             "degree": self.degree,
-            "basis": [[format_fraction(c) for c in f.coeffs] for f in self.basis],
+            "basis": [[str(c) for c in f.coeffs] for f in self.basis],
         }
 
     @classmethod
     def from_json(cls, data) -> "FormSpace":
-        return cls(int(data["degree"]), [[parse_fraction(c) for c in row] for row in data["basis"]])
+        return cls(int(data["degree"]), [[Fraction(c) for c in row] for row in data["basis"]])
 
 
 @dataclass(frozen=True)
@@ -280,14 +273,6 @@ class RamData:
             "code": list(self.code),
             "r": self.total,
         }
-
-
-def box_complement(parts, rows: int, cols: int) -> tuple[int, ...]:
-    """Complement of a zero-padded partition inside a rows x cols rectangle."""
-    parts = tuple(parts)
-    if len(parts) != rows or any(v > cols or v < 0 for v in parts):
-        raise ValueError(f"{parts} does not fit a {rows}x{cols} box")
-    return tuple(cols - parts[rows - 1 - k] for k in range(rows))
 
 
 def conjugate_with_zeros(parts, width: int) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binforms import BinaryForm, FormSpace, PointP1, POINT_X, format_fraction, parse_fraction, ram_data
+from .binforms import BinaryForm, FormSpace, PointP1, POINT_X, ram_data
 from .errors import InconsistentParams, InternalError, InvalidT, NotAnIdeal, NotInBigCell
 from .partitions import HilbertFunction, Partition, as_hilbert, hooks, t_invariants
 
@@ -181,7 +181,7 @@ class CellParams:
         return {
             "partition": self.ideal.partition.to_json(),
             "params": [
-                {"mu": mono_str(mu), "nu": mono_str(nu), "value": format_fraction(self.values[(mu, nu)])}
+                {"mu": mono_str(mu), "nu": mono_str(nu), "value": str(self.values[(mu, nu)])}
                 for (mu, nu) in pair_set_S(self.ideal)
             ],
         }
@@ -190,7 +190,7 @@ class CellParams:
     def from_json(cls, data) -> "CellParams":
         ideal = MonomialIdeal(Partition.from_json(data["partition"]))
         values = {
-            (parse_mono(entry["mu"]), parse_mono(entry["nu"])): parse_fraction(entry["value"])
+            (parse_mono(entry["mu"]), parse_mono(entry["nu"])): Fraction(entry["value"])
             for entry in data["params"]
         }
         return cls(ideal, values)

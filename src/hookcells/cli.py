@@ -11,80 +11,77 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
+from itertools import groupby
 
 from . import binforms, cells, hookcode, partitions, schubert, secant
-from .errors import HookcellsError
+from .errors import HookcellsError, InputFileError, NotFound
 
 
 def dumps(data) -> str:
     return json.dumps(data)
 
 
-def _parse_ints(text):
+def _ints(text):
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _point(text):
-    try:
-        return binforms.PointP1.parse(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"invalid point {text!r}: expected a,b with rationals a and b not both 0"
-        ) from None
+def _pair(text):
+    a, b = _ints(text)
+    return a, b
+
+
+def _partition(text):
+    return partitions.Partition(_ints(text))
+
+
+def _code(text):
+    qs = json.loads(text)
+    if not all(isinstance(q, list) and all(type(v) is int for v in q) for q in qs):
+        raise ValueError(text)
+    return qs
+
+
+def _typed(parse, expected):
+    """Options of a flag parsed by ``parse``: any failure is a usage error."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except (ValueError, TypeError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"invalid {text!r}: expected {expected}") from None
+
+    return {"type": convert, "help": expected}
 
 
 def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _emit(args, json_data, table_lines):
-    if args.format == "json":
-        print(dumps(json_data))
-    else:
-        for line in table_lines:
-            print(line)
-
-
-def _strip_zeros(q):
-    return [v for v in q if v]
+    print(dumps(json_data) if args.format == "json" else "\n".join(table_lines))
 
 
 def _code_str(d: hookcode.HookCode) -> str:
-    bits = [
-        f"Q{d.mu + k}={_strip_zeros(q)}".replace(" ", "")
-        for k, q in enumerate(d.qs)
-    ]
+    bits = [f"Q{d.mu + k}={[v for v in q if v]}".replace(" ", "") for k, q in enumerate(d.qs)]
     return ", ".join(bits) if bits else "(empty code)"
 
 
 def _poincare_str(T) -> str:
-    factors = hookcode.poincare_factors(T)
-    groups: list[list] = []
-    for f in factors:
-        if groups and groups[-1][0] == f:
-            groups[-1][1] += 1
-        else:
-            groups.append([f, 1])
-
     def poly_str(f):
-        bits = []
-        for u, c in enumerate(f):
-            if not c:
-                continue
-            mono = "1" if u == 0 else (f"q^{2 * u}" if u else "")
-            bits.append(mono if c == 1 and u else (str(c) if u == 0 else f"{c}q^{2 * u}"))
+        bits = (f"{'' if c == 1 else c}q^{2 * u}" if u else str(c) for u, c in enumerate(f) if c)
         return "+".join(bits) or "1"
 
-    if not groups:
-        return "1"
-    return " * ".join(
-        f"({poly_str(f)})^{m}" if m > 1 else f"({poly_str(f)})" for f, m in groups
-    )
+    groups = [(f, len(list(run))) for f, run in groupby(hookcode.poincare_factors(T))]
+    return " * ".join(f"({poly_str(f)})" + (f"^{m}" if m > 1 else "") for f, m in groups) or "1"
 
 
 def cmd_cells_enum(args):
-    T = partitions.HilbertFunction(_parse_ints(args.T))
+    T = partitions.HilbertFunction(args.T)
     ps = partitions.enumerate_with_diagonal_lengths(T)
     records = []
     lines = []
@@ -103,18 +100,17 @@ def cmd_cells_enum(args):
 
 
 def cmd_code(args):
-    p = partitions.Partition(_parse_ints(args.partition))
-    d = hookcode.code(p)
+    d = hookcode.code(args.partition)
     _emit(args, d.to_json(), [_code_str(d)])
 
 
 def cmd_decode(args):
-    T = partitions.HilbertFunction(_parse_ints(args.T))
-    qs = json.loads(args.code)
+    T = partitions.HilbertFunction(args.T)
     bx = hookcode.BoxSequence(T)
+    if len(args.code) != len(bx.boxes):
+        raise NotFound(f"code {args.code} needs {len(bx.boxes)} components for {list(T.t)}")
     padded = tuple(
-        tuple(list(q) + [0] * (bx.box(T.mu + k)[0] - len(q)))
-        for k, q in enumerate(qs)
+        tuple(q) + (0,) * (rows - len(q)) for q, (rows, _cols) in zip(args.code, bx.boxes)
     )
     d = hookcode.HookCode(T.mu, T.j, padded)
     p = hookcode.decode(T, d)
@@ -122,7 +118,7 @@ def cmd_decode(args):
 
 
 def cmd_betti(args):
-    T = partitions.HilbertFunction(_parse_ints(args.T))
+    T = partitions.HilbertFunction(args.T)
     b = hookcode.betti_numbers(T)
     count = hookcode.cell_count(T)
     data = {
@@ -144,15 +140,11 @@ def cmd_wronskian(args):
 def cmd_qram(args):
     space = binforms.FormSpace.from_json(_load_json(args.space))
     rd = binforms.ram_data(space, args.point)
-    _emit(
-        args,
-        rd.to_json(),
-        [
-            f"degree sequence: {list(rd.degree_sequence)}",
-            f"QRAM: {list(rd.qram)}  (r = {rd.total})",
-            f"Q: {list(rd.code)}",
-        ],
-    )
+    _emit(args, rd.to_json(), [
+        f"degree sequence: {list(rd.degree_sequence)}",
+        f"QRAM: {list(rd.qram)}  (r = {rd.total})",
+        f"Q: {list(rd.code)}",
+    ])
 
 
 def cmd_build_ideal(args):
@@ -182,8 +174,7 @@ def cmd_intersect(args):
 
 
 def cmd_ring_mul(args):
-    ax, bx = _parse_ints(args.x)
-    ay, by = _parse_ints(args.y)
+    (ax, bx), (ay, by) = args.x, args.y
     x = secant.BundleClass.basis(args.mu, args.j, ax, bx)
     y = secant.BundleClass.basis(args.mu, args.j, ay, by)
     prod = secant.t_multiply(x, y)
@@ -197,7 +188,7 @@ def cmd_secant_pullback(args):
 
 def cmd_hankel_rank(args):
     data = _load_json(args.coeffs)
-    coeffs = [binforms.parse_fraction(c) for c in data["coeffs"]]
+    coeffs = [Fraction(c) for c in data["coeffs"]]
     if not data.get("scaled", True):
         form = binforms.BinaryForm(len(coeffs) - 1, coeffs)
         coeffs = list(secant.scaled_coefficients(form))
@@ -210,7 +201,7 @@ def cmd_example(args):
     data = {
         "count": res.count,
         "product_class": res.product_class.to_json(),
-        "det_poly": [binforms.format_fraction(c) for c in res.det_poly],
+        "det_poly": [str(c) for c in res.det_poly],
         "det_degree": res.det_degree,
         "root_count": res.root_count,
     }
@@ -222,87 +213,63 @@ def cmd_example(args):
     _emit(args, data, lines)
 
 
+GROUPS = {
+    "cells": "cell decomposition commands",
+    "grass": "Grassmannian commands",
+    "ring": "cell-class ring commands",
+    "secant": "secant stratum commands",
+    "hankel": "Hankel matrix commands",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="hookcells",
         description="cell decompositions, hook codes, Wronskians and Hankel strata",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    groups = {}
 
-    def add(parser_args, fn, **kwargs):
-        p = sub.add_parser(*parser_args, **kwargs)
+    def add(name, fn, summary, **flags):
+        """Register ``name`` ("group command" for a grouped command); every
+        flag is required, and every command takes ``--format``."""
+        group, _, command = name.rpartition(" ")
+        parent = sub
+        if group:
+            if group not in groups:
+                grp = sub.add_parser(group, help=GROUPS[group])
+                groups[group] = grp.add_subparsers(dest="subcommand", required=True)
+            parent = groups[group]
+        p = parent.add_parser(command, help=summary)
         p.set_defaults(fn=fn)
+        for flag, kwargs in flags.items():
+            p.add_argument("--" + flag, required=True, **kwargs)
         p.add_argument("--format", choices=("json", "table"), default="table")
-        return p
 
-    cells_p = sub.add_parser("cells", help="cell decomposition commands")
-    cells_sub = cells_p.add_subparsers(dest="subcommand", required=True)
-    enum_p = cells_sub.add_parser("enum", help="list the cells for a Hilbert function")
-    enum_p.set_defaults(fn=cmd_cells_enum)
-    enum_p.add_argument("--T", required=True, help="comma-separated Hilbert function")
-    enum_p.add_argument("--format", choices=("json", "table"), default="table")
-
-    p = add(("code",), cmd_code, help="hook code of a partition")
-    p.add_argument("--partition", required=True)
-
-    p = add(("decode",), cmd_decode, help="partition with a given hook code")
-    p.add_argument("--T", required=True)
-    p.add_argument("--code", required=True, help="JSON list of code components")
-
-    p = add(("betti",), cmd_betti, help="Poincare polynomial and cell count")
-    p.add_argument("--T", required=True)
-
-    p = add(("wronskian",), cmd_wronskian, help="Wronskian of a form space")
-    p.add_argument("--space", required=True, help="form space JSON file")
-
-    p = add(("qram",), cmd_qram, help="ramification of a form space at a point")
-    p.add_argument("--space", required=True)
-    p.add_argument("--point", required=True, type=_point, help="a,b for the form a*x+b*y")
-
-    p = add(("build-ideal",), cmd_build_ideal, help="ideal from cell parameters")
-    p.add_argument("--params", required=True, help="cell parameters JSON file")
-
-    grass_p = sub.add_parser("grass", help="Grassmannian commands")
-    grass_sub = grass_p.add_subparsers(dest="subcommand", required=True)
-    deg_p = grass_sub.add_parser("degree", help="Pluecker degree via Pieri iteration")
-    deg_p.set_defaults(fn=cmd_grass_degree)
-    deg_p.add_argument("--d", type=int, required=True)
-    deg_p.add_argument("--n", type=int, required=True)
-    deg_p.add_argument("--format", choices=("json", "table"), default="table")
-
-    p = add(("intersect",), cmd_intersect, help="intersect ramification conditions")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--conditions", required=True, help="JSON file of x-power lists")
-
-    ring_p = sub.add_parser("ring", help="cell-class ring commands")
-    ring_sub = ring_p.add_subparsers(dest="subcommand", required=True)
-    mul_p = ring_sub.add_parser("mul", help="product of two basis classes")
-    mul_p.set_defaults(fn=cmd_ring_mul)
-    mul_p.add_argument("--mu", type=int, required=True)
-    mul_p.add_argument("--j", type=int, required=True)
-    mul_p.add_argument("--x", required=True, help="a,b of the first class")
-    mul_p.add_argument("--y", required=True, help="a,b of the second class")
-    mul_p.add_argument("--format", choices=("json", "table"), default="table")
-
-    secant_p = sub.add_parser("secant", help="secant stratum commands")
-    secant_sub = secant_p.add_subparsers(dest="subcommand", required=True)
-    pull_p = secant_sub.add_parser("pullback", help="class of a rank stratum pullback")
-    pull_p.set_defaults(fn=cmd_secant_pullback)
-    pull_p.add_argument("--mu", type=int, required=True)
-    pull_p.add_argument("--j", type=int, required=True)
-    pull_p.add_argument("--i", type=int, required=True)
-    pull_p.add_argument("--format", choices=("json", "table"), default="table")
-
-    hankel_p = sub.add_parser("hankel", help="Hankel matrix commands")
-    hankel_sub = hankel_p.add_subparsers(dest="subcommand", required=True)
-    rank_p = hankel_sub.add_parser("rank", help="exact rank of a Hankel matrix")
-    rank_p.set_defaults(fn=cmd_hankel_rank)
-    rank_p.add_argument("--mu", type=int, required=True)
-    rank_p.add_argument("--coeffs", required=True, help="JSON file with coefficients")
-    rank_p.add_argument("--format", choices=("json", "table"), default="table")
-
-    add(("example-7-4",), cmd_example, help="worked triple-ramification count")
+    num = {"type": int}
+    hilbert = _typed(_ints, "comma-separated Hilbert function")
+    space = {"help": "form space JSON file"}
+    add("cells enum", cmd_cells_enum, "list the cells for a Hilbert function", T=hilbert)
+    add("code", cmd_code, "hook code of a partition",
+        partition=_typed(_partition, "comma-separated parts, weakly decreasing and positive"))
+    add("decode", cmd_decode, "partition with a given hook code",
+        T=hilbert, code=_typed(_code, "JSON list of code components"))
+    add("betti", cmd_betti, "Poincare polynomial and cell count", T=hilbert)
+    add("wronskian", cmd_wronskian, "Wronskian of a form space", space=space)
+    add("qram", cmd_qram, "ramification of a form space at a point", space=space,
+        point=_typed(binforms.PointP1.parse, "a,b for the form a*x+b*y, not both 0"))
+    add("build-ideal", cmd_build_ideal, "ideal from cell parameters",
+        params={"help": "cell parameters JSON file"})
+    add("grass degree", cmd_grass_degree, "Pluecker degree via Pieri iteration", d=num, n=num)
+    add("intersect", cmd_intersect, "intersect ramification conditions", d=num, j=num,
+        conditions={"help": "JSON file of x-power lists"})
+    add("ring mul", cmd_ring_mul, "product of two basis classes", mu=num, j=num,
+        x=_typed(_pair, "a,b of the first class"), y=_typed(_pair, "a,b of the second class"))
+    add("secant pullback", cmd_secant_pullback, "class of a rank stratum pullback",
+        mu=num, j=num, i=num)
+    add("hankel rank", cmd_hankel_rank, "exact rank of a Hankel matrix", mu=num,
+        coeffs={"help": "JSON file with coefficients"})
+    add("example-7-4", cmd_example, "worked triple-ramification count")
     return top
 
 

@@ -61,6 +61,10 @@ class ZeroForm(HookcellsError):
     """The zero form was passed where a nonzero form is required."""
 
 
+class InputFileError(HookcellsError):
+    """An input file is missing, unreadable or not valid JSON."""
+
+
 class InternalError(HookcellsError):
     """An internal invariant failed: two exact computations that must agree
     did not.  This is a bug in the package, never a property of the input."""

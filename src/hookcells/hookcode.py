@@ -13,13 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import comb
 
-from .errors import NotFound
+from . import unipoly
+from .errors import InternalError, NotFound
 from .partitions import (
     HilbertFunction,
     Partition,
     as_hilbert,
+    box_complement,
+    box_partitions,
     enumerate_with_diagonal_lengths,
     hooks,
 )
@@ -99,10 +103,10 @@ def code(p: Partition) -> HookCode:
         rows, _cols = bx.box(i)
         hands = sorted(hands_by_deg.get(i, ()), key=lambda rc: rc[0])  # decreasing x-power
         counts = [by_hand.get(h, 0) for h in hands]
-        if len(counts) == rows + 1:
-            assert counts[-1] == 0
+        if len(counts) == rows + 1 and counts[-1] == 0:
             counts = counts[:-1]
-        assert len(counts) == rows
+        if len(counts) != rows:
+            raise InternalError(f"shape {list(p.parts)}, degree {i}: counts {counts}, {rows} rows")
         qs.append(tuple(counts))
     return HookCode(T.mu, T.j, tuple(qs))
 
@@ -130,38 +134,31 @@ def decode(T, d: HookCode) -> Partition:
 def complement(T, d: HookCode) -> HookCode:
     """Componentwise complement inside the bounding boxes."""
     T = as_hilbert(T)
-    bx = BoxSequence(T)
-    qs = []
-    for q, (rows, cols) in zip(d.qs, bx.boxes):
-        qs.append(tuple(cols - q[rows - 1 - k] for k in range(rows)))
-    return HookCode(T.mu, T.j, tuple(qs))
+    qs = tuple(box_complement(q, rows, cols) for q, (rows, cols) in zip(d.qs, BoxSequence(T).boxes))
+    return HookCode(T.mu, T.j, qs)
 
 
 def all_codes(T) -> tuple[HookCode, ...]:
     """Every box-bounded code sequence for ``T``."""
     T = as_hilbert(T)
-    bx = BoxSequence(T)
+    pools = [
+        [q + (0,) * (rows - len(q)) for q in box_partitions(rows, cols)]
+        for rows, cols in BoxSequence(T).boxes
+    ]
+    return tuple(HookCode(T.mu, T.j, seq) for seq in product(*pools))
 
-    def box_partitions(rows, cols):
-        if rows == 0:
-            return [()]
-        out = []
 
-        def rec(pref, mx):
-            if len(pref) == rows:
-                out.append(tuple(pref))
-                return
-            for v in range(mx, -1, -1):
-                rec(pref + [v], v)
-
-        rec([], cols)
-        return out
-
-    pools = [box_partitions(r, c) for (r, c) in bx.boxes]
-    results = [()]
-    for pool in pools:
-        results = [seq + (q,) for seq in results for q in pool]
-    return tuple(HookCode(T.mu, T.j, seq) for seq in results)
+@lru_cache(maxsize=None)
+def _gaussian(n: int, k: int) -> tuple[int, ...]:
+    if k in (0, n):
+        return (1,)
+    left, right = _gaussian(n - 1, k - 1), _gaussian(n - 1, k)
+    out = [0] * max(len(left), k + len(right))
+    for i, v in enumerate(left):
+        out[i] += v
+    for i, v in enumerate(right):
+        out[k + i] += v
+    return tuple(out)
 
 
 def gaussian_binomial(a: int, b: int) -> tuple[int, ...]:
@@ -172,29 +169,7 @@ def gaussian_binomial(a: int, b: int) -> tuple[int, ...]:
     if a < 0 or b < 0:
         raise ValueError("arguments must be nonnegative")
 
-    @lru_cache(maxsize=None)
-    def g(n, k):
-        if k in (0, n):
-            return (1,)
-        left = g(n - 1, k - 1)
-        right = g(n - 1, k)
-        out = [0] * (max(len(left), k + len(right)))
-        for i, v in enumerate(left):
-            out[i] += v
-        for i, v in enumerate(right):
-            out[k + i] += v
-        return tuple(out)
-
-    return g(a + b, a)
-
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for k, b in enumerate(q):
-                out[i + k] += a * b
-    return out
+    return _gaussian(a + b, a)
 
 
 def poincare_factors(T) -> tuple[tuple[int, ...], ...]:
@@ -211,7 +186,7 @@ def betti_numbers(T) -> tuple[int, ...]:
     difference-one hooks (equivalently the cells of that dimension)."""
     out = [1]
     for f in poincare_factors(T):
-        out = _poly_mul(out, list(f))
+        out = unipoly.mul(out, f)
     return tuple(out)
 
 

@@ -305,6 +305,27 @@ def _partitions_of(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def box_partitions(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
+    """Every partition inside a rows x cols rectangle, trailing zeros
+    dropped, in descending lexicographic order."""
+    if rows == 0 or cols == 0:
+        return ((),)
+    out = []
+    for first in range(cols, 0, -1):
+        out.extend((first,) + rest for rest in box_partitions(rows - 1, first))
+    out.append(())
+    return tuple(out)
+
+
+def box_complement(parts, rows: int, cols: int) -> tuple[int, ...]:
+    """Complement of a zero-padded partition inside a rows x cols rectangle."""
+    parts = tuple(parts)
+    if len(parts) != rows or any(v > cols or v < 0 for v in parts):
+        raise ValueError(f"{parts} does not fit a {rows}x{cols} box")
+    return tuple(cols - parts[rows - 1 - k] for k in range(rows))
+
+
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n`` in descending lexicographic order."""
     return tuple(Partition(p) for p in _partitions_of(n, n))

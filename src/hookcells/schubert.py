@@ -9,9 +9,9 @@ word), with everything falling outside the rectangle truncated away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import BoxMismatch, DimensionMismatch, MalformedE
+from .errors import BoxMismatch, DimensionMismatch, MalformedE, ShapeMismatch
+from .partitions import box_partitions
 
 
 def _norm_partition(parts) -> tuple[int, ...]:
@@ -21,21 +21,6 @@ def _norm_partition(parts) -> tuple[int, ...]:
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or any(v < 0 for v in parts):
         raise ValueError(f"not a partition: {parts}")
     return parts
-
-
-@lru_cache(maxsize=None)
-def _box_partitions(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-
-    def rec(pref, mx):
-        if len(pref) == rows:
-            out.append(_norm_partition(pref))
-            return
-        for v in range(mx, -1, -1):
-            rec(pref + [v], v)
-
-    rec([], cols)
-    return tuple(dict.fromkeys(out))
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -84,24 +69,92 @@ def lr_coefficient(lam, mu, nu) -> int:
 
 
 @dataclass(frozen=True)
-class SchubertClass:
+class Combination:
+    """An integer combination of the basis classes of one ring.
+
+    A subclass declares the fields that fix its ring, then ``terms``: pairs
+    (key, coefficient) sorted by key, no coefficient zero.  It supplies
+    ``_key`` (the normal form of a key, or None to drop it), ``_monomial``
+    (how a key prints), ``mismatch`` (raised on combining two rings) and
+    its product.
+    """
+
+    mismatch = ShapeMismatch
+
+    @classmethod
+    def make(cls, *ring_and_terms):
+        """Sum the coefficients of equal keys; drop zero sums and rejected keys."""
+        *ring, terms = ring_and_terms
+        key_of, out = cls._key, {}
+        for key, coeff in terms.items():
+            key = key_of(*ring, key)
+            if key is not None and coeff:
+                out[key] = out.get(key, 0) + coeff
+        return cls(*ring, tuple(sorted((k, int(c)) for k, c in out.items() if c)))
+
+    @property
+    def ring(self) -> dict:
+        return {f: getattr(self, f) for f in self.__dataclass_fields__ if f != "terms"}
+
+    def as_dict(self) -> dict:
+        return dict(self.terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other):
+        if type(other) is not type(self) or other.ring != self.ring:
+            raise self.mismatch(f"{self.ring} versus {type(other).__name__} {other.ring}")
+
+    def __add__(self, other):
+        self._check(other)
+        out = self.as_dict()
+        for k, c in other.terms:
+            out[k] = out.get(k, 0) + c
+        return self.make(*self.ring.values(), out)
+
+    def __neg__(self):
+        return self.make(*self.ring.values(), {k: -c for k, c in self.terms})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __str__(self):
+        if self.is_zero:
+            return "0"
+        bits = [self._monomial(k) if c == 1 else f"{c}*{self._monomial(k)}" for k, c in self.terms]
+        out = bits[0]
+        for t in bits[1:]:
+            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+        return out
+
+
+@dataclass(frozen=True)
+class SchubertClass(Combination):
     """An integer combination of Schubert classes in a fixed box."""
 
     box: tuple[int, int]
     terms: tuple[tuple[tuple[int, ...], int], ...]
 
+    mismatch = BoxMismatch
+
     @classmethod
     def make(cls, box, terms: dict) -> "SchubertClass":
         rows, cols = box
-        clean = {}
-        for parts, coeff in terms.items():
-            parts = _norm_partition(parts)
-            if len(parts) > rows or (parts and parts[0] > cols):
-                raise ValueError(f"{parts} does not fit a {rows}x{cols} box")
-            if coeff:
-                clean[parts] = clean.get(parts, 0) + coeff
-        items = tuple(sorted((p, c) for p, c in clean.items() if c))
-        return cls((rows, cols), items)
+        return super().make((rows, cols), terms)
+
+    @staticmethod
+    def _key(box, parts):
+        rows, cols = box
+        parts = _norm_partition(parts)
+        if len(parts) > rows or (parts and parts[0] > cols):
+            raise ValueError(f"{parts} does not fit a {rows}x{cols} box")
+        return parts
+
+    @staticmethod
+    def _monomial(parts) -> str:
+        return "s" + str(list(parts)).replace(" ", "")
 
     @classmethod
     def basis(cls, box, parts) -> "SchubertClass":
@@ -110,13 +163,6 @@ class SchubertClass:
     @classmethod
     def one(cls, box) -> "SchubertClass":
         return cls.basis(box, ())
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coefficient(self, parts) -> int:
         return self.as_dict().get(_norm_partition(parts), 0)
@@ -128,24 +174,8 @@ class SchubertClass:
     def codimensions(self) -> set[int]:
         return {sum(p) for p, _ in self.terms}
 
-    def __add__(self, other):
-        if self.box != other.box:
-            raise BoxMismatch(f"{self.box} versus {other.box}")
-        out = self.as_dict()
-        for p, c in other.terms:
-            out[p] = out.get(p, 0) + c
-        return SchubertClass.make(self.box, out)
-
     def __mul__(self, other):
         return lr_multiply(self, other)
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        return " + ".join(
-            (f"{c}*" if c != 1 else "") + "s" + str(list(p)).replace(" ", "")
-            for p, c in self.terms
-        )
 
     def to_json(self):
         return {
@@ -163,8 +193,7 @@ class SchubertClass:
 
 def lr_multiply(x: SchubertClass, y: SchubertClass) -> SchubertClass:
     """Product in the cohomology ring, truncated to the box."""
-    if x.box != y.box:
-        raise BoxMismatch(f"{x.box} versus {y.box}")
+    x._check(y)
     rows, cols = x.box
     out: dict[tuple[int, ...], int] = {}
     for p1, c1 in x.terms:
@@ -172,7 +201,7 @@ def lr_multiply(x: SchubertClass, y: SchubertClass) -> SchubertClass:
             size = sum(p1) + sum(p2)
             if size > rows * cols:
                 continue
-            for lam in _box_partitions(rows, cols):
+            for lam in box_partitions(rows, cols):
                 if sum(lam) != size:
                     continue
                 co = lr_coefficient(lam, p1, p2)

@@ -19,43 +19,33 @@ from math import comb
 
 from . import linalg, unipoly
 from .binforms import BinaryForm
-from .errors import OutOfRange, ShapeMismatch, ZeroForm
+from .errors import OutOfRange, ZeroForm
 from .partitions import as_hilbert
-from .schubert import grass_degree
-
-
-def _clean(terms: dict) -> tuple:
-    return tuple(sorted((k, int(c)) for k, c in terms.items() if c))
+from .schubert import Combination, grass_degree
 
 
 @dataclass(frozen=True)
-class BundleClass:
+class BundleClass(Combination):
     """Integer combination of the cell classes [a, b]."""
 
     mu: int
     j: int
     terms: tuple[tuple[tuple[int, int], int], ...]
 
-    @classmethod
-    def make(cls, mu: int, j: int, terms: dict) -> "BundleClass":
-        kept = {}
-        for (a, b), c in terms.items():
-            if 0 <= a <= mu - 1 and 0 <= b <= mu and c:
-                kept[(a, b)] = kept.get((a, b), 0) + c
-        return cls(mu, j, _clean(kept))
+    @staticmethod
+    def _key(mu, j, key):
+        a, b = key
+        return key if 0 <= a <= mu - 1 and 0 <= b <= mu else None
+
+    @staticmethod
+    def _monomial(key) -> str:
+        return f"[{key[0]},{key[1]}]"
 
     @classmethod
     def basis(cls, mu: int, j: int, a: int, b: int) -> "BundleClass":
         if not (0 <= a <= mu - 1 and 0 <= b <= mu):
             raise OutOfRange(f"[{a},{b}] is not a basis class for mu={mu}")
         return cls.make(mu, j, {(a, b): 1})
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coefficient(self, a: int, b: int) -> int:
         return self.as_dict().get((a, b), 0)
@@ -64,37 +54,8 @@ class BundleClass:
         """Coefficient of the class of a point, [mu-1, mu]."""
         return self.coefficient(self.mu - 1, self.mu)
 
-    def _check(self, other):
-        if (self.mu, self.j) != (other.mu, other.j):
-            raise ShapeMismatch(f"({self.mu},{self.j}) versus ({other.mu},{other.j})")
-
-    def __add__(self, other):
-        self._check(other)
-        out = self.as_dict()
-        for k, c in other.terms:
-            out[k] = out.get(k, 0) + c
-        return BundleClass.make(self.mu, self.j, out)
-
-    def __neg__(self):
-        return BundleClass.make(self.mu, self.j, {k: -c for k, c in self.terms})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         return t_multiply(self, other)
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        bits = []
-        for (a, b), c in self.terms:
-            mono = f"[{a},{b}]"
-            bits.append(mono if c == 1 else f"{c}*{mono}")
-        out = bits[0]
-        for t in bits[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
 
     def to_json(self):
         return {
@@ -111,6 +72,19 @@ class BundleClass:
         )
 
 
+def _restrict(mu: int, j: int, kept: dict, spread: dict) -> BundleClass:
+    """The cell class with c [u, v] for every c at (u, v) in ``kept`` plus the
+    binomial spread sum_i C(j+1-mu, i) c [u+i-1, v-i+1] of every c at (u, v)
+    in ``spread``; ``BundleClass.make`` drops the keys out of range."""
+    n = j + 1 - mu
+    out = dict(kept)
+    for (u, v), c in spread.items():
+        for i in range(n + 1):
+            key = (u + i - 1, v - i + 1)
+            out[key] = out.get(key, 0) + c * comb(n, i)
+    return BundleClass.make(mu, j, out)
+
+
 def t_multiply(x: BundleClass, y: BundleClass) -> BundleClass:
     """Product of cell classes.
 
@@ -122,78 +96,44 @@ def t_multiply(x: BundleClass, y: BundleClass) -> BundleClass:
     """
     x._check(y)
     mu, j = x.mu, x.j
-    out: dict[tuple[int, int], int] = {}
-
-    def put(a, b, c):
-        if 0 <= a <= mu - 1 and 0 <= b <= mu and c:
-            out[(a, b)] = out.get((a, b), 0) + c
-
+    kept: dict[tuple[int, int], int] = {}
+    spread: dict[tuple[int, int], int] = {}
     for (a, b), c1 in x.terms:
         for (ce, e), c2 in y.terms:
-            cc = c1 * c2
             cod1, cod2 = a + b, ce + e
-            if cod1 >= mu and cod2 >= mu:
-                continue
-            if cod1 + cod2 < mu or cod1 >= mu or cod2 >= mu:
-                put(a + ce, b + e, cc)
-            else:
-                for i in range(j + 2 - mu):
-                    put(a + ce + i - 1, b + e - i + 1, cc * comb(j + 1 - mu, i))
-    return BundleClass.make(mu, j, out)
+            if cod1 < mu or cod2 < mu:
+                part = spread if cod1 < mu and cod2 < mu <= cod1 + cod2 else kept
+                key = (a + ce, b + e)
+                part[key] = part.get(key, 0) + c1 * c2
+    return _restrict(mu, j, kept, spread)
 
 
 @dataclass(frozen=True)
-class AmbientClass:
+class AmbientClass(Combination):
     """Integer combination of zeta^u eta^v on P^mu x P^j (truncated)."""
 
     mu: int
     j: int
     terms: tuple[tuple[tuple[int, int], int], ...]
 
-    @classmethod
-    def make(cls, mu: int, j: int, terms: dict) -> "AmbientClass":
-        kept = {}
-        for (u, v), c in terms.items():
-            if 0 <= u <= mu and 0 <= v <= j and c:
-                kept[(u, v)] = kept.get((u, v), 0) + c
-        return cls(mu, j, _clean(kept))
+    @staticmethod
+    def _key(mu, j, key):
+        u, v = key
+        return key if 0 <= u <= mu and 0 <= v <= j else None
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if (self.mu, self.j) != (other.mu, other.j):
-            raise ShapeMismatch(f"({self.mu},{self.j}) versus ({other.mu},{other.j})")
-        out = self.as_dict()
-        for k, c in other.terms:
-            out[k] = out.get(k, 0) + c
-        return AmbientClass.make(self.mu, self.j, out)
+    @staticmethod
+    def _monomial(key) -> str:
+        bits = [f"{s}^{n}" if n > 1 else s for s, n in zip("ze", key) if n]
+        return "*".join(bits) or "1"
 
     def __mul__(self, other):
-        if (self.mu, self.j) != (other.mu, other.j):
-            raise ShapeMismatch(f"({self.mu},{self.j}) versus ({other.mu},{other.j})")
+        self._check(other)
         out: dict[tuple[int, int], int] = {}
         for (u1, v1), c1 in self.terms:
             for (u2, v2), c2 in other.terms:
                 k = (u1 + u2, v1 + v2)
                 out[k] = out.get(k, 0) + c1 * c2
         return AmbientClass.make(self.mu, self.j, out)
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        bits = []
-        for (u, v), c in self.terms:
-            mono = "*".join(s for s in (
-                f"z^{u}" if u > 1 else ("z" if u else ""),
-                f"e^{v}" if v > 1 else ("e" if v else ""),
-            ) if s) or "1"
-            bits.append(mono if c == 1 else f"{c}*{mono}")
-        return " + ".join(bits)
 
 
 def class_gt(mu: int, j: int) -> AmbientClass:
@@ -210,20 +150,9 @@ def iota_pullback(x: AmbientClass) -> BundleClass:
     zeta^u eta^v pulls back to [u, v] below the critical codimension and
     spreads binomially past it, mirroring the product rule.
     """
-    mu, j = x.mu, x.j
-    out: dict[tuple[int, int], int] = {}
-
-    def put(a, b, c):
-        if 0 <= a <= mu - 1 and 0 <= b <= mu and c:
-            out[(a, b)] = out.get((a, b), 0) + c
-
-    for (u, v), c in x.terms:
-        if u + v < mu:
-            put(u, v, c)
-        else:
-            for i in range(j + 2 - mu):
-                put(u + i - 1, v - i + 1, c * comb(j + 1 - mu, i))
-    return BundleClass.make(mu, j, out)
+    kept = {k: c for k, c in x.terms if sum(k) < x.mu}
+    spread = {k: c for k, c in x.terms if sum(k) >= x.mu}
+    return _restrict(x.mu, x.j, kept, spread)
 
 
 def iota_pushforward(x: BundleClass) -> AmbientClass:

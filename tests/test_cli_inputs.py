@@ -1,0 +1,63 @@
+"""Malformed CLI input ends in a usage error (exit 2) or a one-line domain
+error (exit 1), never in a traceback."""
+
+import pytest
+
+from hookcells.cli import main
+
+# every command that reads a file, with the flag that names it
+FILE_COMMANDS = [
+    ("wronskian", "--space"),
+    ("qram", "--point", "1,2", "--space"),
+    ("build-ideal", "--params"),
+    ("intersect", "--d", "2", "--j", "4", "--conditions"),
+    ("hankel", "rank", "--mu", "2", "--coeffs"),
+]
+
+
+@pytest.mark.parametrize("problem", ["missing", "bad json", "directory", "not utf-8"])
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
+def test_unreadable_input_file_is_a_domain_error(tmp_path, capsys, argv, problem):
+    path = tmp_path / "input.json"
+    if problem == "bad json":
+        path.write_text('{"degree": 3, "basis": [[1, 0')
+    elif problem == "directory":
+        path.mkdir()
+    elif problem == "not utf-8":
+        path.write_bytes(b'{"coeffs": ["\xff"]}')
+    code = main([*argv, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("InputFileError: ") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ring", "mul", "--mu", "3", "--j", "6", "--x", "1", "--y", "0,2"], "--x"),
+    (["ring", "mul", "--mu", "3", "--j", "6", "--x", "1,1", "--y", "0,2,1"], "--y"),
+    (["ring", "mul", "--mu", "3", "--j", "6", "--x", "a,1", "--y", "0,2"], "--x"),
+    (["betti", "--T", "1,a"], "--T"),
+    (["cells", "enum", "--T", "1;2"], "--T"),
+    (["decode", "--T", "1,a", "--code", "[[0],[2]]"], "--T"),
+    (["decode", "--T", "1,2,3,2,1", "--code", "[[0]"], "--code"),
+    (["decode", "--T", "1,2,3,2,1", "--code", "5"], "--code"),
+    (["decode", "--T", "1,2,3,2,1", "--code", '[[0],["2"]]'], "--code"),
+    (["decode", "--T", "1,2,3,2,1", "--code", "[0,2]"], "--code"),
+    (["code", "--partition", "1,2"], "--partition"),
+    (["code", "--partition", "2,0"], "--partition"),
+    (["code", "--partition", "x"], "--partition"),
+    (["grass", "degree", "--d", "2", "--n", "1.5"], "--n"),
+])
+def test_malformed_flag_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument {flag}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("code", ["[[0]]", "[[0],[2],[1]]", "[[0],[3]]"])
+def test_code_outside_the_boxes_is_a_domain_error(capsys, code):
+    assert main(["decode", "--T", "1,2,3,2,1", "--code", code]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("NotFound: ")

@@ -13,7 +13,7 @@ from hookcells import (
     qram_of_monomial_space,
 )
 from hookcells.errors import BoxMismatch, DimensionMismatch, MalformedE
-from hookcells.schubert import _box_partitions
+from hookcells.partitions import box_partitions as _box_partitions
 
 
 def plucker_degree(d, n):

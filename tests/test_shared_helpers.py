@@ -1,0 +1,93 @@
+"""One implementation per concept: box partitions, box complements, the
+q-binomial recurrence and the hook-code invariant checks."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hookcells
+from hookcells import BoxSequence, HilbertFunction, Partition, all_codes, complement, hookcode
+from hookcells.errors import InternalError
+from hookcells.partitions import box_complement, box_partitions
+
+
+def old_box_partitions(rows, cols):
+    """The recursive generator this package used before: every zero-padded
+    weakly decreasing sequence, largest first, then trailing zeros dropped."""
+    out = []
+
+    def rec(pref, mx):
+        if len(pref) == rows:
+            parts = tuple(pref)
+            while parts and parts[-1] == 0:
+                parts = parts[:-1]
+            out.append(parts)
+            return
+        for v in range(mx, -1, -1):
+            rec(pref + [v], v)
+
+    rec([], cols)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("rows", range(6))
+def test_box_partitions_match_the_old_generator(rows):
+    for cols in range(7):
+        assert box_partitions(rows, cols) == old_box_partitions(rows, cols)
+
+
+def test_all_codes_pads_every_component_to_its_box():
+    T = HilbertFunction([1, 2, 3, 3, 2, 1])
+    boxes = BoxSequence(T).boxes
+    codes = all_codes(T)
+    assert len(codes) == len(set(codes))
+    for d in codes:
+        assert [len(q) for q in d.qs] == [rows for rows, _ in boxes]
+    # components vary like nested loops, the last one fastest
+    rows, cols = boxes[0]
+    first = [q + (0,) * (rows - len(q)) for q in box_partitions(rows, cols)]
+    assert [d.qs[0] for d in codes[:: len(codes) // len(first)]] == first
+
+
+def test_complement_is_the_box_complement_of_each_component():
+    T = HilbertFunction([1, 2, 3, 3, 2, 1])
+    for d in all_codes(T):
+        c = complement(T, d)
+        assert c.qs == tuple(
+            box_complement(q, rows, cols) for q, (rows, cols) in zip(d.qs, BoxSequence(T).boxes)
+        )
+        assert complement(T, c) == d
+
+
+def test_gaussian_binomial_reuses_its_cache():
+    first = hookcode.gaussian_binomial(9, 8)
+    before = hookcode._gaussian.cache_info()
+    assert hookcode.gaussian_binomial(9, 8) == first
+    after = hookcode._gaussian.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_code_checks_hand_counts_with_an_internal_error(monkeypatch):
+    # hooks of a different shape contradict the boxes of the real one
+    monkeypatch.setattr(hookcode, "hooks", lambda p: Partition([6, 1]).hooks())
+    with pytest.raises(InternalError):
+        hookcode.code(Partition([5, 2, 1, 1]))
+
+
+def test_code_check_runs_under_python_O():
+    """The hook-code invariant is no ``assert``: it still raises under ``-O``."""
+    script = (
+        "from hookcells import Partition, hookcode\n"
+        "from hookcells.errors import InternalError\n"
+        "hookcode.hooks = lambda p: Partition([6, 1]).hooks()\n"
+        "try:\n"
+        "    hookcode.code(Partition([5, 2, 1, 1]))\n"
+        "except InternalError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hookcells.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert run.stdout.strip() == "raised", run.stderr
