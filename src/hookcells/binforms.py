@@ -15,17 +15,18 @@ from fractions import Fraction
 
 from . import linalg, unipoly
 from .errors import DegenerateBasis, InternalError, ZeroForm
-from .partitions import box_complement
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+@dataclass(frozen=True, slots=True)
 class BinaryForm:
     """A homogeneous polynomial in two variables."""
 
-    __slots__ = ("degree", "coeffs")
+    degree: int
+    coeffs: tuple[Fraction, ...]
 
     def __init__(self, degree: int, coeffs):
         coeffs = tuple(_frac(c) for c in coeffs)
@@ -33,19 +34,6 @@ class BinaryForm:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BinaryForm is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryForm)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -76,10 +64,6 @@ class BinaryForm:
     def coeff_poly_in_x(self):
         """Coefficients of f(x, 1) indexed by x-power."""
         return unipoly.trim([self.coeffs[self.degree - i] for i in range(self.degree + 1)])
-
-    def coeff_poly_in_y(self):
-        """Coefficients of f(1, y) indexed by y-power."""
-        return unipoly.trim(list(self.coeffs))
 
     def __str__(self):
         if self.is_zero:
@@ -138,9 +122,6 @@ class PointP1:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def linear_form(self) -> BinaryForm:
-        return BinaryForm(1, (self.a, self.b))
-
     def complement_form(self) -> tuple[Fraction, Fraction]:
         """The default complement C: y when the form involves x, else x."""
         if self.a != 0:
@@ -163,6 +144,7 @@ POINT_X = PointP1(1, 0)  # the point x = 0
 POINT_Y = PointP1(0, 1)  # the point y = 0
 
 
+@dataclass(frozen=True, slots=True)
 class FormSpace:
     """A subspace of the degree-j forms, held as a reduced row echelon basis.
 
@@ -171,7 +153,9 @@ class FormSpace:
     x-adic valuation than row i-1.
     """
 
-    __slots__ = ("degree", "basis", "pivots")
+    degree: int
+    basis: tuple[BinaryForm, ...]
+    pivots: tuple[int, ...]
 
     def __init__(self, degree: int, forms):
         rows = [self._row(degree, f) for f in forms]
@@ -199,19 +183,6 @@ class FormSpace:
         rows = [cls._row(degree, f) for f in forms]
         red, _ = linalg.rref(rows, degree + 1, col_order=range(degree, -1, -1))
         return cls(degree, red)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FormSpace is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormSpace)
-            and self.degree == other.degree
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.basis))
 
     def __repr__(self):
         return f"FormSpace({self.degree}, dim={self.dim})"
@@ -275,25 +246,18 @@ class RamData:
         }
 
 
-def conjugate_with_zeros(parts, width: int) -> tuple[int, ...]:
-    """Conjugate of a padded partition, returned with ``width`` parts."""
-    return tuple(sum(1 for v in parts if v > k) for k in range(width))
-
-
-def change_basis(space: FormSpace, p: PointP1, c_form=None) -> FormSpace:
-    """Coordinates of the space in the basis (L, C) at ``p``.
+def change_basis(space: FormSpace, p: PointP1) -> FormSpace:
+    """Coordinates of the space in the basis (L, C) at ``p``, with C the
+    point's default complement.
 
     Returned as a :class:`FormSpace` whose k-th coordinate is the coefficient
     of ``L^(j-k) C^k``; its pivots therefore read off the degree sequence.
-    ``c_form`` overrides the default complement with a pair (c, d) meaning
-    C = c*x + d*y.
     """
-    if p == POINT_X and c_form is None:
+    if p == POINT_X:
         return space  # (L, C) = (x, y): the identity frame, already in RREF
     a, b = p.a, p.b
-    c, d = c_form if c_form is not None else p.complement_form()
-    if a * d - b * c == 0:
-        raise DegenerateBasis(f"complement {c}*x + {d}*y is proportional to the form of the point {p}")
+    c, d = p.complement_form()
+    # det = a*d - b*c is a = 1 or -b = -1, never 0.
     # x = (d*L - b*C)/det and y = (-c*L + a*C)/det.  A common factor of the
     # two images scales every row by the same power and leaves the span
     # unchanged, so they are taken as primitive integer vectors, and so is
@@ -327,17 +291,16 @@ def initial_space(space: FormSpace, p: PointP1) -> tuple[tuple[int, int], ...]:
     return lc.initial_monomials()
 
 
-def ram_data(space: FormSpace, p: PointP1, c_form=None) -> RamData:
-    """Degree sequence and ramification partitions of the space at ``p``."""
-    lc = change_basis(space, p, c_form)
-    j, d = space.degree, space.dim
+def ram_data(space: FormSpace, p: PointP1) -> RamData:
+    """Degree sequence and ramification partitions of the space at ``p``.
+
+    They do not depend on the complement C of the frame."""
+    lc = change_basis(space, p)
+    j = space.degree
     ns = sorted(j - k for k in lc.pivots)
     qram = tuple(sorted((n - i for i, n in enumerate(ns)), reverse=True))
     cob = sorted(j - k for k in range(j + 1) if k not in set(lc.pivots))
     q = tuple(sorted((a - i for i, a in enumerate(cob)), reverse=True))
-    # the two partitions are complement-duals of each other inside their boxes
-    if qram != conjugate_with_zeros(box_complement(q, j + 1 - d, d), d):
-        raise InternalError(f"QRAM {qram} and code {q} at {p} are not complement-dual")
     return RamData(tuple(ns), qram, q, sum(qram))
 
 
@@ -345,35 +308,27 @@ def wronskian(space: FormSpace) -> BinaryForm:
     """The Wronskian form of the space, of degree dim * codim.
 
     Computed as a classical one-variable Wronskian after substituting y = 1,
-    then rehomogenized; the same computation at x = 1 must agree and is run
-    as a cross-check.  The result is normalized to leading coefficient 1; its
-    valuation at any point is the total ramification of the space there.
+    then rehomogenized with the known degree.  The result is normalized to
+    leading coefficient 1; its valuation at any point is the total
+    ramification of the space there.
     """
     d = space.dim
     if d < 1:
         raise DegenerateBasis("Wronskian needs a nonzero space")
     n_deg = d * space.codim
-
-    def one_variable(polys):
-        rows = [polys]
-        for _ in range(d - 1):
-            rows.append([unipoly.derivative(q) for q in rows[-1]])
-        return unipoly.det([[rows[r][i] for i in range(d)] for r in range(d)])
-
-    # each row's primitive integer model: the scale factors drop out when the
-    # result is normalized
-    models = [unipoly.integer_model(f.coeffs) for f in space.basis]
-    wx = one_variable([unipoly.trim(m[::-1]) for m in models])
-    wy = one_variable([unipoly.trim(m) for m in models])
-    if unipoly.is_zero(wx) or unipoly.is_zero(wy):
+    # each row's primitive integer model, as a polynomial in x: the scale
+    # factors drop out when the result is normalized
+    rows = [[unipoly.trim(unipoly.integer_model(f.coeffs)[::-1]) for f in space.basis]]
+    for _ in range(d - 1):
+        rows.append([unipoly.derivative(q) for q in rows[-1]])
+    w = unipoly.trim(unipoly.det(rows))
+    if unipoly.is_zero(w):
         raise InternalError(f"zero Wronskian for the independent basis {space.basis}")
-    hx = {(m, n_deg - m): c for m, c in enumerate(wx) if c != 0}
-    hy = {(n_deg - m, m): c for m, c in enumerate(wy) if c != 0}
-    fx = BinaryForm.from_monomials(n_deg, hx).normalized()
-    fy = BinaryForm.from_monomials(n_deg, hy).normalized()
-    if fx != fy:
-        raise InternalError(f"x- and y-dehomogenized Wronskians disagree: {fx} != {fy}")
-    return fx
+    if len(w) > n_deg + 1:
+        raise InternalError(f"Wronskian of degree {len(w) - 1} exceeds dim * codim = {n_deg}")
+    # the coefficient of x^m y^(n_deg - m) sits at index n_deg - m
+    lead = w[-1]
+    return BinaryForm(n_deg, [0] * (n_deg + 1 - len(w)) + [Fraction(c, lead) for c in reversed(w)])
 
 
 def point_valuation(form: BinaryForm, p: PointP1) -> int:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binforms import BinaryForm, FormSpace, PointP1, POINT_X, ram_data
+from . import linalg
+from .binforms import BinaryForm, FormSpace, PointP1, POINT_X, change_basis, ram_data
 from .errors import InconsistentParams, InternalError, InvalidT, NotAnIdeal, NotInBigCell
 from .partitions import HilbertFunction, Partition, as_hilbert, hooks, t_invariants
 
@@ -42,25 +43,18 @@ def _cell_to_mono(r: int, c: int) -> Monomial:
     return (c, r)
 
 
+@dataclass(frozen=True, slots=True)
 class MonomialIdeal:
     """A finite-colength monomial ideal, known by its cobasis shape."""
 
-    __slots__ = ("partition", "hilbert_function")
+    partition: Partition
+    hilbert_function: HilbertFunction
 
     def __init__(self, partition: Partition):
         if not isinstance(partition, Partition):
             partition = Partition(partition)
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "hilbert_function", partition.diagonal_lengths())
-
-    def __setattr__(self, *a):
-        raise AttributeError("MonomialIdeal is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialIdeal) and self.partition == other.partition
-
-    def __hash__(self):
-        return hash(self.partition)
 
     def __repr__(self):
         return f"MonomialIdeal({list(self.partition.parts)})"
@@ -159,10 +153,12 @@ def pair_set_W(E: MonomialIdeal) -> WPairs:
     return WPairs(tuple(sorted(plus, key=key)), tuple(sorted(minus, key=key)))
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class CellParams:
     """A choice of rational value for every pair in S(E)."""
 
-    __slots__ = ("ideal", "values")
+    ideal: MonomialIdeal
+    values: dict
 
     def __init__(self, ideal: MonomialIdeal, values: dict):
         pairs = pair_set_S(ideal)
@@ -173,9 +169,6 @@ class CellParams:
             )
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CellParams is immutable")
 
     def to_json(self):
         return {
@@ -200,6 +193,7 @@ class CellParams:
         return cls(ideal, {pair: Fraction(0) for pair in pair_set_S(ideal)})
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class GradedIdeal:
     """A graded ideal with the prescribed Hilbert function.
 
@@ -207,7 +201,9 @@ class GradedIdeal:
     with the standard-form generators it was built from, when known.
     """
 
-    __slots__ = ("hilbert_function", "pieces", "generators")
+    hilbert_function: HilbertFunction
+    pieces: dict
+    generators: tuple[BinaryForm, ...]
 
     def __init__(self, hilbert_function: HilbertFunction, pieces: dict, generators=()):
         T = as_hilbert(hilbert_function)
@@ -228,9 +224,6 @@ class GradedIdeal:
         object.__setattr__(self, "hilbert_function", T)
         object.__setattr__(self, "pieces", dict(pieces))
         object.__setattr__(self, "generators", tuple(generators))
-
-    def __setattr__(self, *a):
-        raise AttributeError("GradedIdeal is immutable")
 
     def piece(self, i: int) -> FormSpace:
         T = self.hilbert_function
@@ -337,8 +330,6 @@ def initial_ideal(ideal: GradedIdeal, p: PointP1 = POINT_X) -> MonomialIdeal:
     The returned shape lives in the (L, C) frame at ``p``: its cell (r, c)
     is the monomial L^c C^r.
     """
-    from .binforms import change_basis
-
     T = ideal.hilbert_function
     cob_cells = set()
     for d in range(T.j + 1):
@@ -442,8 +433,6 @@ def small_grass_coords(ideal: GradedIdeal) -> tuple[SmallGrassChart, ...]:
     a complement to the span of the hands, and the chart is the induced
     projection matrix.
     """
-    from . import linalg
-
     T = ideal.hilbert_function
     E0 = big_cell(T)
     if initial_ideal(ideal) != E0:

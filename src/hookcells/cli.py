@@ -35,11 +35,14 @@ def _partition(text):
     return partitions.Partition(_ints(text))
 
 
-def _code(text):
-    qs = json.loads(text)
+def _int_lists(qs):
     if not all(isinstance(q, list) and all(type(v) is int for v in q) for q in qs):
-        raise ValueError(text)
+        raise ValueError(f"expected lists of integers, got {qs}")
     return qs
+
+
+def _code(text):
+    return _int_lists(json.loads(text))
 
 
 def _typed(parse, expected):
@@ -54,12 +57,33 @@ def _typed(parse, expected):
     return {"type": convert, "help": expected}
 
 
-def _load_json(path):
+def _load_json(path, parse):
+    """``parse`` applied to the JSON file at ``path``.  An unreadable file,
+    bad JSON or a payload that ``parse`` cannot read (a missing key, a wrong
+    type or value) is an :class:`InputFileError` naming the file; a domain
+    error raised by ``parse`` passes through unchanged."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise InputFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise InputFileError(f"{path}: {reason}") from None
+
+
+def _conditions(data):
+    return _int_lists(data["conditions"] if isinstance(data, dict) else data)
+
+
+def _hankel_coeffs(data):
+    coeffs = [Fraction(c) for c in data["coeffs"]]
+    if not data.get("scaled", True):
+        form = binforms.BinaryForm(len(coeffs) - 1, coeffs)
+        coeffs = list(secant.scaled_coefficients(form))
+    return coeffs
 
 
 def _emit(args, json_data, table_lines):
@@ -132,13 +156,13 @@ def cmd_betti(args):
 
 
 def cmd_wronskian(args):
-    space = binforms.FormSpace.from_json(_load_json(args.space))
+    space = _load_json(args.space, binforms.FormSpace.from_json)
     w = binforms.wronskian(space)
     _emit(args, w.to_json(), [f"W = {w}", f"degree {w.degree}"])
 
 
 def cmd_qram(args):
-    space = binforms.FormSpace.from_json(_load_json(args.space))
+    space = _load_json(args.space, binforms.FormSpace.from_json)
     rd = binforms.ram_data(space, args.point)
     _emit(args, rd.to_json(), [
         f"degree sequence: {list(rd.degree_sequence)}",
@@ -148,7 +172,7 @@ def cmd_qram(args):
 
 
 def cmd_build_ideal(args):
-    params = cells.CellParams.from_json(_load_json(args.params))
+    params = _load_json(args.params, cells.CellParams.from_json)
     ideal = cells.build_ideal(params)
     T = ideal.hilbert_function
     data = {
@@ -167,8 +191,7 @@ def cmd_grass_degree(args):
 
 
 def cmd_intersect(args):
-    data = _load_json(args.conditions)
-    conds = data["conditions"] if isinstance(data, dict) else data
+    conds = _load_json(args.conditions, _conditions)
     cls = schubert.intersect_ramification(args.d, args.j, conds)
     _emit(args, cls.to_json(), [str(cls)])
 
@@ -187,11 +210,7 @@ def cmd_secant_pullback(args):
 
 
 def cmd_hankel_rank(args):
-    data = _load_json(args.coeffs)
-    coeffs = [Fraction(c) for c in data["coeffs"]]
-    if not data.get("scaled", True):
-        form = binforms.BinaryForm(len(coeffs) - 1, coeffs)
-        coeffs = list(secant.scaled_coefficients(form))
+    coeffs = _load_json(args.coeffs, _hankel_coeffs)
     r = secant.hankel_rank(coeffs, args.mu)
     _emit(args, {"mu": args.mu, "rank": r}, [f"rank={r}"])
 

@@ -20,10 +20,11 @@ from functools import lru_cache
 from .errors import InvalidT, NonAdmissible
 
 
+@dataclass(frozen=True, slots=True)
 class Partition:
     """An integer partition (weakly decreasing positive parts)."""
 
-    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
@@ -32,15 +33,6 @@ class Partition:
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be positive: {parts}")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Partition is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __len__(self):
         return len(self.parts)
@@ -64,9 +56,6 @@ class Partition:
 
     def cells(self):
         return [(r, c) for r, pr in enumerate(self.parts) for c in range(pr)]
-
-    def contains_cell(self, r: int, c: int) -> bool:
-        return 0 <= r < len(self.parts) and 0 <= c < self.parts[r]
 
     def col_len(self, c: int) -> int:
         return sum(1 for pr in self.parts if pr > c)
@@ -134,10 +123,6 @@ class Hook:
     def hand_degree(self) -> int:
         return self.row + self.col + self.arm - 1
 
-    @property
-    def foot_degree(self) -> int:
-        return self.row + self.col + self.leg - 1
-
 
 def hooks(p: Partition) -> tuple[Hook, ...]:
     """One hook per cell of the shape."""
@@ -156,6 +141,7 @@ def count_hooks_diff(p: Partition, a: int, i: int | None = None) -> int:
     )
 
 
+@dataclass(frozen=True, slots=True)
 class HilbertFunction:
     """An admissible sequence (t_0, ..., t_j) of graded dimensions.
 
@@ -164,7 +150,7 @@ class HilbertFunction:
     empty sequence is allowed and corresponds to the empty partition.
     """
 
-    __slots__ = ("t",)
+    t: tuple[int, ...]
 
     def __init__(self, t=()):
         t = tuple(int(x) for x in t)
@@ -181,15 +167,6 @@ class HilbertFunction:
     @staticmethod
     def _tval(t, i):
         return t[i] if 0 <= i < len(t) else 0
-
-    def __setattr__(self, *a):
-        raise AttributeError("HilbertFunction is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, HilbertFunction) and self.t == other.t
-
-    def __hash__(self):
-        return hash(self.t)
 
     def __len__(self):
         return len(self.t)
@@ -223,9 +200,6 @@ class HilbertFunction:
     def delta(self, i: int) -> int:
         """First difference t_{i-1} - t_i."""
         return self.value(i - 1) - self.value(i)
-
-    def invariants(self) -> "TInvariants":
-        return t_invariants(self)
 
     def to_json(self):
         return list(self.t)

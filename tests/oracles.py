@@ -6,13 +6,17 @@ rational root search that evaluates every rational-root-theorem candidate
 with Fraction arithmetic, a frame change that expands every monomial
 binomially, and ideal pieces spanned by every monomial multiple of the
 generators.  They share no code with the paths they check.
+
+Two cross-checks that the library leaves to the tests live here too: the
+Wronskian dehomogenized at x = 1 as well as at y = 1, and the
+complement-dual identity between the two ramification partitions.
 """
 
 import math
 from fractions import Fraction
 
 from hookcells import BinaryForm, FormSpace
-from hookcells.binforms import box_complement, conjugate_with_zeros
+from hookcells.partitions import box_complement
 from hookcells.unipoly import _divisors
 
 
@@ -98,16 +102,22 @@ def laplace_det(matrix):
     return minor(0, (1 << n) - 1)
 
 
-def wronskian(space):
+def wronskian(space, at="y"):
     """The Wronskian of the space from its Fraction basis, dehomogenized at
-    y = 1, normalized to leading coefficient 1."""
+    y = 1 (``at="y"``) or at x = 1 (``at="x"``), rehomogenized and
+    normalized to leading coefficient 1.  Both must give the same form."""
     d = space.dim
     n_deg = d * space.codim
-    rows = [[f.coeff_poly_in_x() for f in space.basis]]
+    if at == "y":
+        polys = [f.coeff_poly_in_x() for f in space.basis]
+    else:
+        polys = [_trim(f.coeffs) for f in space.basis]  # f(1, y) by y-power
+    rows = [polys]
     for _ in range(d - 1):
         rows.append([_derivative(q) for q in rows[-1]])
     w = laplace_det(rows)
-    return BinaryForm.from_monomials(n_deg, {(m, n_deg - m): c for m, c in enumerate(w) if c != 0}).normalized()
+    terms = {(m, n_deg - m) if at == "y" else (n_deg - m, m): c for m, c in enumerate(w) if c != 0}
+    return BinaryForm.from_monomials(n_deg, terms).normalized()
 
 
 def rational_roots(p):
@@ -150,6 +160,11 @@ def point_valuation(form, p):
         poly, _ = divmod_(poly, [p.b, Fraction(1)])
         mult += 1
     return mult
+
+
+def conjugate_with_zeros(parts, width: int) -> tuple[int, ...]:
+    """Conjugate of a padded partition, returned with ``width`` parts."""
+    return tuple(sum(1 for v in parts if v > k) for k in range(width))
 
 
 def change_basis(space, p, c_form=None):

@@ -1,6 +1,8 @@
 """Malformed CLI input ends in a usage error (exit 2) or a one-line domain
 error (exit 1), never in a traceback."""
 
+import json
+
 import pytest
 
 from hookcells.cli import main
@@ -29,6 +31,32 @@ def test_unreadable_input_file_is_a_domain_error(tmp_path, capsys, argv, problem
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("InputFileError: ") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+PARAMS_22 = {"partition": [2, 2], "params": [{"mu": "x^0 y^2", "nu": "x^1 y^1", "value": "2"}]}
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (FILE_COMMANDS[0], {"degree": 3}),
+    (FILE_COMMANDS[1], {"degree": 3}),
+    (FILE_COMMANDS[0], {"degree": 1, "basis": [["1", "1/0"]]}),
+    (FILE_COMMANDS[0], [1, 2]),
+    (FILE_COMMANDS[2], {**PARAMS_22, "params": [{**PARAMS_22["params"][0], "mu": "x^a y^1"}]}),
+    (FILE_COMMANDS[2], {**PARAMS_22, "params": [{**PARAMS_22["params"][0], "mu": 3}]}),
+    (FILE_COMMANDS[2], {"params": []}),
+    (FILE_COMMANDS[3], [[1, "a"], [0, 3]]),
+    (FILE_COMMANDS[3], {"conditions": 5}),
+    (FILE_COMMANDS[4], {"coeffs": ["abc", "1"]}),
+    (FILE_COMMANDS[4], "text"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_malformed_payload_is_a_domain_error(tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = main([*argv, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"InputFileError: {path}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -198,7 +198,7 @@ box_partition = st.integers(0, 3).flatmap(
 
 @given(box_partition)
 def test_box_complement_involution(data):
-    from hookcells.binforms import box_complement
+    from hookcells.partitions import box_complement
 
     (rows, cols), q = data
     cq = box_complement(q, rows, cols)
