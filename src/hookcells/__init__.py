@@ -77,7 +77,6 @@ from .partitions import (
     enumerate_with_diagonal_lengths,
     hilbert_functions_upto,
     hooks,
-    partitions_of,
     t_invariants,
 )
 from .schubert import (

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import linalg, unipoly
 from .errors import DegenerateBasis, InternalError, ZeroForm
+from .partitions import ramification_partition
 
 
 def _frac(x) -> Fraction:
@@ -218,7 +219,10 @@ class FormSpace:
 
     @classmethod
     def from_json(cls, data) -> "FormSpace":
-        return cls(int(data["degree"]), [[Fraction(c) for c in row] for row in data["basis"]])
+        degree = data["degree"]
+        if type(degree) is not int:
+            raise ValueError(f"degree must be an integer, got {degree!r}")
+        return cls(degree, [[Fraction(c) for c in row] for row in data["basis"]])
 
 
 @dataclass(frozen=True)
@@ -298,10 +302,9 @@ def ram_data(space: FormSpace, p: PointP1) -> RamData:
     lc = change_basis(space, p)
     j = space.degree
     ns = sorted(j - k for k in lc.pivots)
-    qram = tuple(sorted((n - i for i, n in enumerate(ns)), reverse=True))
+    qram = ramification_partition(ns)
     cob = sorted(j - k for k in range(j + 1) if k not in set(lc.pivots))
-    q = tuple(sorted((a - i for i, a in enumerate(cob)), reverse=True))
-    return RamData(tuple(ns), qram, q, sum(qram))
+    return RamData(tuple(ns), qram, ramification_partition(cob), sum(qram))
 
 
 def wronskian(space: FormSpace) -> BinaryForm:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import linalg
 from .binforms import BinaryForm, FormSpace, PointP1, POINT_X, change_basis, ram_data
 from .errors import InconsistentParams, InternalError, InvalidT, NotAnIdeal, NotInBigCell
-from .partitions import HilbertFunction, Partition, as_hilbert, hooks, t_invariants
+from .partitions import HilbertFunction, Partition, as_hilbert, hooks, ramification_partition, t_invariants
 
 Monomial = tuple[int, int]
 
@@ -361,8 +361,7 @@ def qram_ideal(ideal: GradedIdeal, p: PointP1) -> tuple[tuple[int, ...], ...]:
 
 def qram_monomial(E: MonomialIdeal, degree: int) -> tuple[int, ...]:
     """Ramification partition of the degree piece of a monomial ideal."""
-    ns = sorted(m[0] for m in E.piece(degree))
-    return tuple(sorted((n - i for i, n in enumerate(ns)), reverse=True))
+    return ramification_partition(sorted(m[0] for m in E.piece(degree)))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ def rref(rows, ncols, col_order=None):
     nrows = len(m)
     r = 0
     for c in col_order:
+        if r == nrows:
+            break
         src = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if src is None:
             continue
@@ -35,8 +37,6 @@ def rref(rows, ncols, col_order=None):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
     return m[:r], pivots
 
 

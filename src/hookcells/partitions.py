@@ -88,6 +88,8 @@ class Partition:
 
     @classmethod
     def from_json(cls, data) -> "Partition":
+        if not all(type(v) is int for v in data):
+            raise ValueError(f"parts must be integers, got {data!r}")
         return cls(data)
 
 
@@ -249,34 +251,20 @@ def t_invariants(T) -> TInvariants:
     return TInvariants(mu, j, n, deltas, dim_gt, dim_zt, dim_zt - dim_gt, dim_bgrass)
 
 
-def diagonal_lengths(p: Partition, *, raw: bool = False):
+def diagonal_lengths(p: Partition) -> HilbertFunction:
     """Diagonal lengths of a shape, validated as a Hilbert function.
 
-    With ``raw=True`` the unvalidated tuple of counts is returned instead.
     Left-justified shapes always produce admissible sequences, so the
     :class:`NonAdmissible` branch guards against internal errors only.
     """
-    profile = p.diagonal_profile()
-    if raw:
-        return profile
     try:
-        return HilbertFunction(profile)
+        return HilbertFunction(p.diagonal_profile())
     except InvalidT as exc:  # pragma: no cover - impossible for partitions
         raise NonAdmissible(str(exc)) from exc
 
 
 def dual(p: Partition) -> Partition:
     return p.dual()
-
-
-@lru_cache(maxsize=None)
-def _partitions_of(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    out = []
-    for k in range(min(n, max_part), 0, -1):
-        out.extend((k,) + rest for rest in _partitions_of(n - k, k))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -300,9 +288,10 @@ def box_complement(parts, rows: int, cols: int) -> tuple[int, ...]:
     return tuple(cols - parts[rows - 1 - k] for k in range(rows))
 
 
-def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of ``n`` in descending lexicographic order."""
-    return tuple(Partition(p) for p in _partitions_of(n, n))
+def ramification_partition(increasing) -> tuple[int, ...]:
+    """A strictly increasing sequence minus the staircase (0, 1, 2, ...),
+    sorted decreasingly: the ramification partition of a degree sequence."""
+    return tuple(sorted((n - i for i, n in enumerate(increasing)), reverse=True))
 
 
 def enumerate_with_diagonal_lengths(T) -> tuple[Partition, ...]:

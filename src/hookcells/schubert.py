@@ -1,17 +1,18 @@
 """Littlewood-Richardson products in the cohomology of a Grassmannian.
 
 Classes are integer combinations of partitions inside a fixed rows x cols
-rectangle; products are computed by counting Littlewood-Richardson skew
-tableaux (column-strict fillings whose reverse reading word is a lattice
-word), with everything falling outside the rectangle truncated away.
+rectangle.  Products follow the Littlewood-Richardson rule, generated as
+successive horizontal strips under the lattice condition with every row
+capped by the rectangle, so their cost follows their terms, not the box.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BoxMismatch, DimensionMismatch, MalformedE, ShapeMismatch
-from .partitions import box_partitions
+from .partitions import ramification_partition
 
 
 def _norm_partition(parts) -> tuple[int, ...]:
@@ -23,49 +24,45 @@ def _norm_partition(parts) -> tuple[int, ...]:
     return parts
 
 
-def lr_coefficient(lam, mu, nu) -> int:
-    """The Littlewood-Richardson number: multiplicity of the class of
-    ``lam`` in the product of ``mu`` and ``nu``.
+def _lr_fillings(mu, nu, bound) -> Counter:
+    """Littlewood-Richardson numbers c^lam_{mu,nu}, as {lam: count}, of every
+    lam with row r at most ``bound[r]`` (``mu`` must fit).  The labels k =
+    1..len(nu) are added as horizontal strips of nu_k cells (Fulton, *Young
+    Tableaux*, section 5); the lattice condition on the reverse reading word
+    says that the k labels in rows <= r number at most the k-1 labels in rows
+    < r.  Fillings that reach the same shape with the same last strip merge."""
+    start = tuple(mu) + (0,) * (len(bound) - len(mu))
+    states = Counter({(start, start): 1})  # (shape, shape before its last strip)
+    for k, size in enumerate(nu):
+        nxt = Counter()
+        for (shape, before), count in states.items():
+            # strips grown row by row: (rows so far, labels left, labels the
+            # next row may take); label 1 has no lattice limit
+            part = [((), size, size if k == 0 else 0)]
+            for r, row in enumerate(shape):
+                cap = min(bound[r], shape[r - 1]) if r else bound[r]
+                part = [(new + (row + a,), left - a, room - a + row - before[r])
+                        for new, left, room in part
+                        for a in range(min(left, cap - row, room) + 1)]
+            for new, left, _ in part:
+                if not left:
+                    nxt[new, shape] += count
+        states = nxt
+    out = Counter()
+    for (shape, _), count in states.items():
+        out[tuple(v for v in shape if v)] += count
+    return out
 
-    Counts fillings of the skew shape lam/mu with content nu, weakly
-    increasing along rows, strictly down columns, whose reverse reading word
-    (rows read right to left, top to bottom) is a lattice word.
-    """
+
+def lr_coefficient(lam, mu, nu) -> int:
+    """The Littlewood-Richardson number c^lam_{mu,nu}: the multiplicity of the
+    class of ``lam`` in the product of ``mu`` and ``nu``."""
     lam, mu, nu = _norm_partition(lam), _norm_partition(mu), _norm_partition(nu)
     if len(mu) > len(lam) or any(m > l for l, m in zip(lam, mu)):
         return 0
     if sum(lam) != sum(mu) + sum(nu):
         return 0
-    mu = mu + (0,) * (len(lam) - len(mu))
-    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r] - 1, mu[r] - 1, -1)]
-    nvals = len(nu)
-    grid: dict[tuple[int, int], int] = {}
-    counts = [0] * (nvals + 2)
-    found = 0
-
-    def rec(idx):
-        nonlocal found
-        if idx == len(cells):
-            found += 1
-            return
-        r, c = cells[idx]
-        right = grid.get((r, c + 1))
-        up = grid.get((r - 1, c))
-        lo = 1 if up is None else up + 1
-        hi = nvals if right is None else right
-        for v in range(lo, hi + 1):
-            if counts[v] >= nu[v - 1]:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue
-            grid[(r, c)] = v
-            counts[v] += 1
-            rec(idx + 1)
-            counts[v] -= 1
-        grid.pop((r, c), None)
-
-    rec(0)
-    return found
+    return _lr_fillings(mu, nu, lam)[lam]
 
 
 @dataclass(frozen=True)
@@ -195,18 +192,11 @@ def lr_multiply(x: SchubertClass, y: SchubertClass) -> SchubertClass:
     """Product in the cohomology ring, truncated to the box."""
     x._check(y)
     rows, cols = x.box
-    out: dict[tuple[int, ...], int] = {}
+    out = Counter()
     for p1, c1 in x.terms:
         for p2, c2 in y.terms:
-            size = sum(p1) + sum(p2)
-            if size > rows * cols:
-                continue
-            for lam in box_partitions(rows, cols):
-                if sum(lam) != size:
-                    continue
-                co = lr_coefficient(lam, p1, p2)
-                if co:
-                    out[lam] = out.get(lam, 0) + c1 * c2 * co
+            for lam, co in _lr_fillings(p1, p2, (cols,) * rows).items():
+                out[lam] += c1 * c2 * co
     return SchubertClass.make(x.box, out)
 
 
@@ -241,8 +231,7 @@ def grass_degree(d: int, n: int) -> int:
 def qram_of_monomial_space(powers, j: int | None = None) -> tuple[int, ...]:
     """Ramification partition of the monomial space with the given x-powers.
 
-    ``powers`` must be strictly increasing; the result subtracts the
-    staircase (0, 1, ..., d-1) and is sorted decreasingly.  Its sum is the
+    ``powers`` must be strictly increasing.  The sum of the result is the
     total ramification of the space at the point x = 0.
     """
     powers = list(powers)
@@ -250,7 +239,7 @@ def qram_of_monomial_space(powers, j: int | None = None) -> tuple[int, ...]:
         raise MalformedE(f"x-powers must be strictly increasing, got {powers}")
     if powers[0] < 0 or (j is not None and powers[-1] > j):
         raise MalformedE(f"x-powers out of range for degree {j}: {powers}")
-    return tuple(sorted((n - i for i, n in enumerate(powers)), reverse=True))
+    return ramification_partition(powers)
 
 
 def intersect_ramification(d: int, j: int, conditions) -> SchubertClass:
@@ -258,12 +247,13 @@ def intersect_ramification(d: int, j: int, conditions) -> SchubertClass:
     points, each given by the x-powers of a d-dimensional monomial space of
     degree-j forms.  A zero class signals an empty intersection; otherwise
     every term has codimension equal to the total ramification imposed."""
+    if not 0 <= d <= j + 1:
+        raise DimensionMismatch(f"need 0 <= d <= j + 1, got ({d}, {j})")
     box = (d, j + 1 - d)
     acc = SchubertClass.one(box)
     for powers in conditions:
         powers = list(powers)
         if len(powers) != d:
             raise DimensionMismatch(f"condition {powers} is not {d}-dimensional")
-        qram = qram_of_monomial_space(powers, j)
-        acc = lr_multiply(acc, SchubertClass.basis(box, qram))
+        acc = lr_multiply(acc, SchubertClass.basis(box, qram_of_monomial_space(powers, j)))
     return acc

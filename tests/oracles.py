@@ -5,7 +5,9 @@ a Laplace determinant over :class:`~fractions.Fraction` polynomials, a
 rational root search that evaluates every rational-root-theorem candidate
 with Fraction arithmetic, a frame change that expands every monomial
 binomially, and ideal pieces spanned by every monomial multiple of the
-generators.  They share no code with the paths they check.
+generators, a Littlewood-Richardson product that counts the tableaux of
+every shape in the box, and every partition of n by recursion on the largest
+part.  They share no code with the paths they check.
 
 Two cross-checks that the library leaves to the tests live here too: the
 Wronskian dehomogenized at x = 1 as well as at y = 1, and the
@@ -14,9 +16,10 @@ complement-dual identity between the two ramification partitions.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from hookcells import BinaryForm, FormSpace
-from hookcells.partitions import box_complement
+from hookcells import BinaryForm, FormSpace, Partition, SchubertClass
+from hookcells.partitions import box_complement, box_partitions
 from hookcells.unipoly import _divisors
 
 
@@ -217,3 +220,79 @@ def ideal_pieces(generators, T):
         ]
         pieces[d] = FormSpace.span(d, spanning)
     return pieces
+
+
+def lr_coefficient(lam, mu, nu) -> int:
+    """The Littlewood-Richardson number, counting fillings of the skew shape
+    lam/mu with content nu, weakly increasing along rows, strictly down
+    columns, whose reverse reading word (rows read right to left, top to
+    bottom) is a lattice word."""
+    lam, mu, nu = (tuple(v for v in p if v) for p in (lam, mu, nu))
+    if len(mu) > len(lam) or any(m > l for l, m in zip(lam, mu)):
+        return 0
+    if sum(lam) != sum(mu) + sum(nu):
+        return 0
+    mu = mu + (0,) * (len(lam) - len(mu))
+    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r] - 1, mu[r] - 1, -1)]
+    nvals = len(nu)
+    grid: dict[tuple[int, int], int] = {}
+    counts = [0] * (nvals + 2)
+    found = 0
+
+    def rec(idx):
+        nonlocal found
+        if idx == len(cells):
+            found += 1
+            return
+        r, c = cells[idx]
+        right = grid.get((r, c + 1))
+        up = grid.get((r - 1, c))
+        lo = 1 if up is None else up + 1
+        hi = nvals if right is None else right
+        for v in range(lo, hi + 1):
+            if counts[v] >= nu[v - 1]:
+                continue
+            if v > 1 and counts[v] + 1 > counts[v - 1]:
+                continue
+            grid[(r, c)] = v
+            counts[v] += 1
+            rec(idx + 1)
+            counts[v] -= 1
+        grid.pop((r, c), None)
+
+    rec(0)
+    return found
+
+
+def lr_multiply(x, y):
+    """Product of two Schubert classes: the tableau count of every partition
+    in the box of the right size, for every pair of terms."""
+    rows, cols = x.box
+    out = {}
+    for p1, c1 in x.terms:
+        for p2, c2 in y.terms:
+            size = sum(p1) + sum(p2)
+            if size > rows * cols:
+                continue
+            for lam in box_partitions(rows, cols):
+                if sum(lam) != size:
+                    continue
+                co = lr_coefficient(lam, p1, p2)
+                if co:
+                    out[lam] = out.get(lam, 0) + c1 * c2 * co
+    return SchubertClass.make(x.box, out)
+
+
+@lru_cache(maxsize=None)
+def _partitions_of(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
+    if n == 0:
+        return ((),)
+    out = []
+    for k in range(min(n, max_part), 0, -1):
+        out.extend((k,) + rest for rest in _partitions_of(n - k, k))
+    return tuple(out)
+
+
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of ``n`` in descending lexicographic order."""
+    return tuple(Partition(p) for p in _partitions_of(n, n))

@@ -56,6 +56,9 @@ def test_ram_data_examples():
     assert ram_data(V0, POINT_X).qram == (0, 0, 0)
     rda = ram_data(v_a(2), POINT_X)
     assert rda.qram == (1, 1) and rda.total == 2
+    # the zero and the full space have an empty partition, not an error
+    assert ram_data(FormSpace(3, []), POINT_Y).qram == ()
+    assert ram_data(FormSpace(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), POINT_Y).code == ()
 
 
 def test_initial_space_examples():
@@ -83,6 +86,12 @@ def test_wronskian_examples():
 def test_wronskian_rejects_dependent_rows():
     with pytest.raises(DegenerateBasis):
         FormSpace(3, [[1, 0, 0, 0], [2, 0, 0, 0]])
+
+
+def test_zero_space_of_huge_degree_is_immediate():
+    # row reduction stops once every row holds a pivot, so no rows scan no columns
+    V = FormSpace(10**12, [])
+    assert V.dim == 0 and V.pivots == ()
 
 
 def test_total_ramification_examples():

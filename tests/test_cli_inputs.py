@@ -49,6 +49,10 @@ PARAMS_22 = {"partition": [2, 2], "params": [{"mu": "x^0 y^2", "nu": "x^1 y^1", 
     (FILE_COMMANDS[3], {"conditions": 5}),
     (FILE_COMMANDS[4], {"coeffs": ["abc", "1"]}),
     (FILE_COMMANDS[4], "text"),
+    (FILE_COMMANDS[0], {"degree": 2.5, "basis": [["1", "0", "0"]]}),
+    (FILE_COMMANDS[0], {"degree": 1e300, "basis": []}),
+    (FILE_COMMANDS[1], {"degree": 1e300, "basis": []}),
+    (FILE_COMMANDS[2], {**PARAMS_22, "partition": [2.7, 2]}),
 ], ids=lambda v: v[0] if isinstance(v, tuple) else None)
 def test_malformed_payload_is_a_domain_error(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
@@ -57,6 +61,17 @@ def test_malformed_payload_is_a_domain_error(tmp_path, capsys, argv, payload):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith(f"InputFileError: {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("d, j", [(-1, 1), (2, 0)])
+def test_intersect_outside_any_box_is_a_domain_error(tmp_path, capsys, d, j):
+    path = tmp_path / "conditions.json"
+    path.write_text(json.dumps({"conditions": []}))
+    code = main(["intersect", "--d", str(d), "--j", str(j), "--conditions", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("DimensionMismatch: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -2,6 +2,7 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hookcells import (
     SchubertClass,
@@ -14,6 +15,8 @@ from hookcells import (
 )
 from hookcells.errors import BoxMismatch, DimensionMismatch, MalformedE
 from hookcells.partitions import box_partitions as _box_partitions
+from hookcells.schubert import _lr_fillings
+import oracles
 
 
 def plucker_degree(d, n):
@@ -129,6 +132,40 @@ def test_lr_coefficient_known_values():
     assert lr_coefficient((3, 2, 1), (2, 1), (2, 1)) == 2  # classic multiplicity
 
 
+def _inside(mu, lam):
+    return len(mu) <= len(lam) and all(m <= l for m, l in zip(mu, lam))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lr_coefficient_matches_tableau_oracle(data):
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    pool = _box_partitions(rows, cols)
+    lam = data.draw(st.sampled_from(pool))
+    # half the draws take mu inside lam and nu of the missing size, so many counts are nonzero
+    mu = data.draw(st.sampled_from([p for p in pool if _inside(p, lam)]) | st.sampled_from(pool))
+    fits = [p for p in pool if sum(p) == sum(lam) - sum(mu)] or pool
+    nu = data.draw(st.sampled_from(fits) | st.sampled_from(pool))
+    assert lr_coefficient(lam, mu, nu) == oracles.lr_coefficient(lam, mu, nu)
+    if _inside(mu, lam):
+        # the generator under the bound lam yields exactly the shapes inside lam
+        expected = {k: oracles.lr_coefficient(k, mu, nu) for k in pool if _inside(k, lam)}
+        assert _lr_fillings(mu, nu, lam) == {k: c for k, c in expected.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lr_multiply_matches_tableau_oracle(data):
+    box = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6)))
+    pool = _box_partitions(*box)
+    x, y = (
+        SchubertClass.make(box, data.draw(st.dictionaries(
+            st.sampled_from(pool), st.integers(-3, 3), min_size=1, max_size=4)))
+        for _ in range(2)
+    )
+    assert lr_multiply(x, y) == oracles.lr_multiply(x, y)
+
+
 def test_qram_of_monomial_space_examples():
     assert qram_of_monomial_space((1, 3, 4), 4) == (2, 2, 1)
     assert qram_of_monomial_space(range(5)) == (0, 0, 0, 0, 0)
@@ -178,6 +215,9 @@ def test_errors():
         lr_multiply(SchubertClass.one((2, 2)), SchubertClass.one((2, 3)))
     with pytest.raises(DimensionMismatch):
         intersect_ramification(2, 3, [(0, 1, 2)])
+    for d, j in [(-1, 1), (2, 0)]:  # no d x (j + 1 - d) box
+        with pytest.raises(DimensionMismatch):
+            intersect_ramification(d, j, [])
     with pytest.raises(DimensionMismatch):
         grass_degree(3, 2)
 
