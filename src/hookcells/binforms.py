@@ -10,12 +10,13 @@ are ordered ``y^j < x y^(j-1) < ... < x^j`` (increasing x-power), and the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, unipoly
 from .errors import DegenerateBasis, InternalError, ZeroForm
-from .partitions import ramification_partition
+from .partitions import json_int, ramification_partition
 
 
 def _frac(x) -> Fraction:
@@ -101,7 +102,7 @@ class BinaryForm:
 
     @classmethod
     def from_json(cls, data) -> "BinaryForm":
-        return cls(int(data["degree"]), [Fraction(c) for c in data["coeffs"]])
+        return cls(json_int(data["degree"], "degree"), [Fraction(c) for c in data["coeffs"]])
 
 
 @dataclass(frozen=True)
@@ -152,10 +153,17 @@ class FormSpace:
     Pivot search runs through the monomials in increasing order, so each
     basis row's initial monomial is a pivot and row i has strictly larger
     x-adic valuation than row i-1.
+
+    ``rows`` stores each echelon row as its primitive integer multiple with
+    a positive entry at the pivot.  The reduced row echelon basis of a space
+    is unique, and so is that multiple of each of its rows, so two spaces are
+    equal (and hash equally) exactly when they are the same subspace.
+    ``basis`` gives the rational echelon rows, each stored row divided by its
+    pivot entry.
     """
 
     degree: int
-    basis: tuple[BinaryForm, ...]
+    rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
 
     def __init__(self, degree: int, forms):
@@ -164,16 +172,18 @@ class FormSpace:
         if len(red) != len(rows):
             raise DegenerateBasis(f"{len(rows)} forms span only {len(red)} dimensions")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "basis", tuple(BinaryForm(degree, r) for r in red))
+        object.__setattr__(self, "rows", tuple(map(tuple, red)))
         object.__setattr__(self, "pivots", tuple(piv))
 
     @staticmethod
     def _row(degree, f):
+        """The coefficients of a form or coefficient row, each an integer or
+        a Fraction."""
         if isinstance(f, BinaryForm):
             if f.degree != degree:
                 raise ValueError("mixed degrees in form space")
-            return list(f.coeffs)
-        row = [_frac(c) for c in f]
+            return f.coeffs
+        row = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in f]
         if len(row) != degree + 1:
             raise ValueError("coefficient row has wrong length")
         return row
@@ -189,22 +199,33 @@ class FormSpace:
         return f"FormSpace({self.degree}, dim={self.dim})"
 
     @property
+    def basis(self) -> tuple[BinaryForm, ...]:
+        return tuple(
+            BinaryForm(self.degree, [Fraction(c, row[p]) for c in row])
+            for row, p in zip(self.rows, self.pivots)
+        )
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def codim(self) -> int:
         return self.degree + 1 - self.dim
 
-    def contains(self, form: BinaryForm) -> bool:
-        """Membership by reduction against the stored basis: each row is 1 at
-        its pivot and 0 at every other pivot, so subtracting ``v[pivot]`` times
-        each row leaves zero exactly when the form lies in the space."""
-        v = self._row(self.degree, form)
-        for row, p in zip(self.basis, self.pivots):
+    def contains(self, form) -> bool:
+        """Membership by reduction against the stored rows: each row is 0 at
+        every other pivot, so cross-multiplying at each pivot in turn clears
+        the form there, and leaves zero exactly when the form lies in the
+        space.  ``form`` is a :class:`BinaryForm` or a coefficient row."""
+        v = linalg.integer_model(self._row(self.degree, form))
+        for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
-                v = [a - c * b for a, b in zip(v, row.coeffs)]
+                a = row[p]
+                g = math.gcd(a, c)
+                s, t = a // g, c // g
+                v = [s * x - t * y for x, y in zip(v, row)]
         return not any(v)
 
     def initial_monomials(self) -> tuple[tuple[int, int], ...]:
@@ -219,9 +240,7 @@ class FormSpace:
 
     @classmethod
     def from_json(cls, data) -> "FormSpace":
-        degree = data["degree"]
-        if type(degree) is not int:
-            raise ValueError(f"degree must be an integer, got {degree!r}")
+        degree = json_int(data["degree"], "degree")
         return cls(degree, [[Fraction(c) for c in row] for row in data["basis"]])
 
 
@@ -257,23 +276,24 @@ def change_basis(space: FormSpace, p: PointP1) -> FormSpace:
     Returned as a :class:`FormSpace` whose k-th coordinate is the coefficient
     of ``L^(j-k) C^k``; its pivots therefore read off the degree sequence.
     """
-    if p == POINT_X:
-        return space  # (L, C) = (x, y): the identity frame, already in RREF
+    if p == POINT_X or space.dim in (0, space.degree + 1):
+        # (L, C) = (x, y) is the identity frame, and the zero and the full
+        # space are the same in every frame
+        return space
     a, b = p.a, p.b
     c, d = p.complement_form()
     # det = a*d - b*c is a = 1 or -b = -1, never 0.
     # x = (d*L - b*C)/det and y = (-c*L + a*C)/det.  A common factor of the
     # two images scales every row by the same power and leaves the span
-    # unchanged, so they are taken as primitive integer vectors, and so is
-    # each row.
-    xu, xv, yu, yv = unipoly.integer_model([d, -b, -c, a])
+    # unchanged, so they are taken as primitive integer vectors; the stored
+    # rows are integer already.
+    xu, xv, yu, yv = linalg.integer_model([d, -b, -c, a])
     j = space.degree
     y_pows = [[1]]
     for _ in range(j):
         y_pows.append(_times_linear(y_pows[-1], yu, yv))
     rows = []
-    for f in space.basis:
-        coeffs = unipoly.integer_model(f.coeffs)
+    for coeffs in space.rows:
         # homogeneous Horner: acc <- acc * x + c_k y^k
         acc = [coeffs[0]]
         for k in range(1, j + 1):
@@ -303,7 +323,8 @@ def ram_data(space: FormSpace, p: PointP1) -> RamData:
     j = space.degree
     ns = sorted(j - k for k in lc.pivots)
     qram = ramification_partition(ns)
-    cob = sorted(j - k for k in range(j + 1) if k not in set(lc.pivots))
+    piv = set(lc.pivots)
+    cob = sorted(j - k for k in range(j + 1) if k not in piv)
     return RamData(tuple(ns), qram, ramification_partition(cob), sum(qram))
 
 
@@ -319,9 +340,9 @@ def wronskian(space: FormSpace) -> BinaryForm:
     if d < 1:
         raise DegenerateBasis("Wronskian needs a nonzero space")
     n_deg = d * space.codim
-    # each row's primitive integer model, as a polynomial in x: the scale
-    # factors drop out when the result is normalized
-    rows = [[unipoly.trim(unipoly.integer_model(f.coeffs)[::-1]) for f in space.basis]]
+    # the stored integer rows, as polynomials in x: their scale factors drop
+    # out when the result is normalized
+    rows = [[unipoly.trim(row[::-1]) for row in space.rows]]
     for _ in range(d - 1):
         rows.append([unipoly.derivative(q) for q in rows[-1]])
     w = unipoly.trim(unipoly.det(rows))
@@ -343,7 +364,7 @@ def point_valuation(form: BinaryForm, p: PointP1) -> int:
         return form.degree - unipoly.degree(px)
     # root of f(x, 1) at x = -b/a = -b (a normalized to 1)
     root = -p.b
-    return unipoly.root_multiplicity(unipoly.integer_model(px), root.numerator, root.denominator)[0]
+    return unipoly.root_multiplicity(linalg.integer_model(px), root.numerator, root.denominator)[0]
 
 
 @dataclass(frozen=True)

@@ -216,10 +216,9 @@ class GradedIdeal:
                 )
         for i in range(T.mu, T.j):
             nxt = pieces[i + 1]
-            for f in pieces[i].basis:
-                shifted_x = BinaryForm(i + 1, (*f.coeffs, Fraction(0)))
-                shifted_y = BinaryForm(i + 1, (Fraction(0), *f.coeffs))
-                if not (nxt.contains(shifted_x) and nxt.contains(shifted_y)):
+            for row in pieces[i].rows:
+                # (*row, 0) is x * f and (0, *row) is y * f
+                if not (nxt.contains((*row, 0)) and nxt.contains((0, *row))):
                     raise NotAnIdeal(f"degree-{i} piece is not closed under multiplication")
         object.__setattr__(self, "hilbert_function", T)
         object.__setattr__(self, "pieces", dict(pieces))
@@ -446,7 +445,7 @@ def small_grass_coords(ideal: GradedIdeal) -> tuple[SmallGrassChart, ...]:
         others = [m for m in ambient if E0.contains(m)]
         # vectors of the degree-i piece supported on `shifted`; a monomial's
         # column in a coefficient row is its y-power
-        rows = [list(f.coeffs) for f in ideal.pieces[i].basis]
+        rows = ideal.pieces[i].rows
         outside = [yp for yp in range(i + 1) if (i - yp, yp) not in shifted]
         if outside:
             constraints = [[row[c] for row in rows] for c in outside]
@@ -472,8 +471,8 @@ def small_grass_coords(ideal: GradedIdeal) -> tuple[SmallGrassChart, ...]:
                 elif m in hands:
                     row.append(Fraction(0))
                 else:
-                    src = red[piv.index(ambient.index(m))]
-                    row.append(-src[hidx])
+                    k = piv.index(ambient.index(m))
+                    row.append(Fraction(-red[k][hidx], red[k][piv[k]]))
             matrix.append(tuple(row))
         charts.append(SmallGrassChart(i, tuple(hands), tuple(ambient), tuple(matrix)))
     return tuple(charts)

@@ -36,9 +36,9 @@ def _partition(text):
 
 
 def _int_lists(qs):
-    if not all(isinstance(q, list) and all(type(v) is int for v in q) for q in qs):
+    if not all(isinstance(q, list) for q in qs):
         raise ValueError(f"expected lists of integers, got {qs}")
-    return qs
+    return [[partitions.json_int(v, "entry") for v in q] for q in qs]
 
 
 def _code(text):

@@ -26,6 +26,7 @@ from .partitions import (
     box_partitions,
     enumerate_with_diagonal_lengths,
     hooks,
+    json_int,
 )
 
 
@@ -78,7 +79,10 @@ class HookCode:
 
     @classmethod
     def from_json(cls, data) -> "HookCode":
-        return cls(int(data["mu"]), int(data["j"]), tuple(tuple(int(v) for v in q) for q in data["qs"]))
+        return cls(
+            json_int(data["mu"], "mu"), json_int(data["j"], "j"),
+            tuple(tuple(json_int(v, "code entry") for v in q) for q in data["qs"]),
+        )
 
 
 def code(p: Partition) -> HookCode:

@@ -20,6 +20,15 @@ from functools import lru_cache
 from .errors import InvalidT, NonAdmissible
 
 
+def json_int(value, what: str) -> int:
+    """``value`` when it is an integer; a ValueError naming ``what`` when it is
+    a float, a string, a boolean or anything else, which a JSON reader would
+    otherwise truncate or coerce."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class Partition:
     """An integer partition (weakly decreasing positive parts)."""
@@ -88,9 +97,7 @@ class Partition:
 
     @classmethod
     def from_json(cls, data) -> "Partition":
-        if not all(type(v) is int for v in data):
-            raise ValueError(f"parts must be integers, got {data!r}")
-        return cls(data)
+        return cls(json_int(v, "part") for v in data)
 
 
 @dataclass(frozen=True)
@@ -208,7 +215,7 @@ class HilbertFunction:
 
     @classmethod
     def from_json(cls, data) -> "HilbertFunction":
-        return cls(data)
+        return cls(json_int(v, "Hilbert function value") for v in data)
 
     @classmethod
     def parse(cls, text: str) -> "HilbertFunction":

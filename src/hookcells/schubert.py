@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BoxMismatch, DimensionMismatch, MalformedE, ShapeMismatch
-from .partitions import ramification_partition
+from .partitions import json_int, ramification_partition
 
 
 def _norm_partition(parts) -> tuple[int, ...]:
@@ -183,8 +183,11 @@ class SchubertClass(Combination):
     @classmethod
     def from_json(cls, data) -> "SchubertClass":
         return cls.make(
-            tuple(data["box"]),
-            {tuple(t["partition"]): int(t["coeff"]) for t in data["terms"]},
+            tuple(json_int(v, "box size") for v in data["box"]),
+            {
+                tuple(json_int(v, "part") for v in t["partition"]): json_int(t["coeff"], "coeff")
+                for t in data["terms"]
+            },
         )
 
 

@@ -20,7 +20,7 @@ from math import comb
 from . import linalg, unipoly
 from .binforms import BinaryForm
 from .errors import OutOfRange, ZeroForm
-from .partitions import as_hilbert
+from .partitions import as_hilbert, json_int
 from .schubert import Combination, grass_degree
 
 
@@ -67,8 +67,11 @@ class BundleClass(Combination):
     @classmethod
     def from_json(cls, data) -> "BundleClass":
         return cls.make(
-            int(data["mu"]), int(data["j"]),
-            {(int(t["a"]), int(t["b"])): int(t["coeff"]) for t in data["terms"]},
+            json_int(data["mu"], "mu"), json_int(data["j"], "j"),
+            {
+                (json_int(t["a"], "a"), json_int(t["b"], "b")): json_int(t["coeff"], "coeff")
+                for t in data["terms"]
+            },
         )
 
 

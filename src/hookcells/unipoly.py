@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from .errors import InternalError, ZeroForm
+from .linalg import integer_model
 
 ZERO = (0,)
 
@@ -52,15 +53,6 @@ def mul(p, q):
 
 def derivative(p):
     return trim([i * p[i] for i in range(1, len(p))]) if len(p) > 1 else list(ZERO)
-
-
-def integer_model(p):
-    """The primitive integer multiple of the coefficient list ``p``: ``p``
-    times the lcm of its denominators, divided by the gcd of the result."""
-    den = math.lcm(*(c.denominator for c in p))
-    ip = [c.numerator * (den // c.denominator) for c in p]
-    g = math.gcd(*ip) or 1
-    return [c // g for c in ip]
 
 
 def det(matrix):

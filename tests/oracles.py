@@ -1,7 +1,8 @@
 """Slow reference implementations kept as differential test oracles.
 
 These are the straightforward versions the library's fast paths replaced:
-a Laplace determinant over :class:`~fractions.Fraction` polynomials, a
+row reduction and row-space membership over :class:`~fractions.Fraction`,
+a Laplace determinant over Fraction polynomials, a
 rational root search that evaluates every rational-root-theorem candidate
 with Fraction arithmetic, a frame change that expands every monomial
 binomially, and ideal pieces spanned by every monomial multiple of the
@@ -21,6 +22,44 @@ from functools import lru_cache
 from hookcells import BinaryForm, FormSpace, Partition, SchubertClass
 from hookcells.partitions import box_complement, box_partitions
 from hookcells.unipoly import _divisors
+
+
+def rref(rows, ncols, col_order=None):
+    """Bring ``rows`` into reduced row echelon form.
+
+    ``col_order`` lists column indices in pivot-priority order; the default is
+    left to right.  Returns ``(reduced, pivots)`` where ``reduced`` drops zero
+    rows and is sorted so pivot columns appear in priority order, and
+    ``pivots`` is the list of pivot columns in the same order.
+    """
+    if col_order is None:
+        col_order = range(ncols)
+    m = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    nrows = len(m)
+    r = 0
+    for c in col_order:
+        if r == nrows:
+            break
+        src = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if src is None:
+            continue
+        m[r], m[src] = m[src], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def in_rowspace(vector, rows, ncols):
+    """Whether ``vector`` lies in the span of ``rows``, by comparing Fraction
+    ranks."""
+    return len(rref(rows, ncols)[0]) == len(rref(list(rows) + [vector], ncols)[0])
 
 
 def _trim(p):

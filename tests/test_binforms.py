@@ -94,6 +94,16 @@ def test_zero_space_of_huge_degree_is_immediate():
     assert V.dim == 0 and V.pivots == ()
 
 
+def test_change_basis_of_zero_or_full_space_is_immediate():
+    # both are the same in every frame; a frame change would first build the
+    # y-power table, quadratic in the degree (seconds at degree 6000)
+    zero = FormSpace(6000, [])
+    full = FormSpace(200, [[int(k == m) for k in range(201)] for m in range(201)])
+    for V in (zero, full):
+        assert change_basis(V, PointP1(1, 2)) is V
+        assert ram_data(V, PointP1(1, 2)).total == 0
+
+
 def test_total_ramification_examples():
     summary = total_ramification_check(v_a(2))
     assert summary.degree == 4
@@ -226,6 +236,14 @@ def test_point_normalization():
     assert PointP1(0, 5) == PointP1(0, 1)
     with pytest.raises(ValueError):
         PointP1(0, 0)
+
+
+def test_rows_are_primitive_with_positive_pivots():
+    V = FormSpace(2, [[-2, -2, -2], [-2, -1, 1]])
+    assert V.rows == ((-1, 0, 2), (3, 2, 0)) and V.pivots == (2, 1)
+    assert V.basis == (BinaryForm(2, [F(-1, 2), 0, 1]), BinaryForm(2, [F(3, 2), 1, 0]))
+    # the entry at the first pivot is not a multiple of the pivot entry 2
+    assert V.contains([-4, -3, -1]) and not V.contains([-4, -3, 0])
 
 
 def test_contains_rejects_a_form_of_another_degree():

@@ -303,6 +303,13 @@ def test_graded_ideal_validates_closure():
     ])
     with pytest.raises(NotAnIdeal):
         GradedIdeal(T, {2: x2, 3: bad3})  # x * x^2 falls outside
+    only_x = FormSpace(3, [
+        BinaryForm.from_monomials(3, {(3, 0): 1}),
+        BinaryForm.from_monomials(3, {(1, 2): 1}),
+        BinaryForm.from_monomials(3, {(0, 3): 1}),
+    ])
+    with pytest.raises(NotAnIdeal):
+        GradedIdeal(T, {2: x2, 3: only_x})  # x * x^2 lies inside, y * x^2 does not
     with pytest.raises(NotAnIdeal):
         GradedIdeal(T, {2: x2})  # missing piece
     with pytest.raises(NotAnIdeal):

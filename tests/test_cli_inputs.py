@@ -46,6 +46,7 @@ PARAMS_22 = {"partition": [2, 2], "params": [{"mu": "x^0 y^2", "nu": "x^1 y^1", 
     (FILE_COMMANDS[2], {**PARAMS_22, "params": [{**PARAMS_22["params"][0], "mu": 3}]}),
     (FILE_COMMANDS[2], {"params": []}),
     (FILE_COMMANDS[3], [[1, "a"], [0, 3]]),
+    (FILE_COMMANDS[3], [[1, 2.0], [0, 3]]),
     (FILE_COMMANDS[3], {"conditions": 5}),
     (FILE_COMMANDS[4], {"coeffs": ["abc", "1"]}),
     (FILE_COMMANDS[4], "text"),
@@ -85,6 +86,7 @@ def test_intersect_outside_any_box_is_a_domain_error(tmp_path, capsys, d, j):
     (["decode", "--T", "1,2,3,2,1", "--code", "[[0]"], "--code"),
     (["decode", "--T", "1,2,3,2,1", "--code", "5"], "--code"),
     (["decode", "--T", "1,2,3,2,1", "--code", '[[0],["2"]]'], "--code"),
+    (["decode", "--T", "1,2,3,2,1", "--code", "[[0],[2.0]]"], "--code"),
     (["decode", "--T", "1,2,3,2,1", "--code", "[0,2]"], "--code"),
     (["code", "--partition", "1,2"], "--partition"),
     (["code", "--partition", "2,0"], "--partition"),

@@ -1,10 +1,10 @@
-"""Differential tests: the integer Wronskian, the filtered rational root
-search, the Horner frame change, membership by pivot reduction and the
-triangular ideal pieces against the slow paths in ``oracles`` and
-``linalg.in_rowspace``."""
+"""Differential tests: fraction-free row reduction, the integer Wronskian,
+the filtered rational root search, the Horner frame change, membership by
+pivot reduction and the triangular ideal pieces against the slow paths in
+``oracles`` and ``linalg.in_rowspace``."""
 
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -211,7 +211,69 @@ def spaces_and_vectors(draw):
 @given(spaces_and_vectors())
 def test_contains_matches_in_rowspace(case):
     V, rows, v = case
-    assert V.contains(BinaryForm(V.degree, v)) == linalg.in_rowspace(v, rows, V.degree + 1)
+    inside = oracles.in_rowspace(v, rows, V.degree + 1)
+    assert V.contains(BinaryForm(V.degree, v)) == linalg.in_rowspace(v, rows, V.degree + 1) == inside
+    assert V.contains(v) == inside
+
+
+@st.composite
+def rational_matrices(draw):
+    """A rational matrix, possibly empty or without columns, with zero rows
+    and rows dependent on the others mixed in, and a column priority that is
+    the default or a random permutation."""
+    ncols = draw(st.integers(0, 7))
+    base = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=5))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        combo = draw(st.lists(small, min_size=len(base), max_size=len(base)))
+        row = [sum((a * r[k] for a, r in zip(combo, base)), F(0)) for k in range(ncols)]
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    col_order = draw(st.one_of(st.none(), st.permutations(range(ncols))))
+    return rows, ncols, col_order
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_rref_matches_fraction_oracle(case):
+    rows, ncols, col_order = case
+    red, piv = linalg.rref(rows, ncols, col_order)
+    expect, expect_piv = oracles.rref(rows, ncols, col_order)
+    assert piv == expect_piv
+    assert [[F(x, row[p]) for x in row] for row, p in zip(red, piv)] == expect
+    for row, p in zip(red, piv):
+        assert all(type(x) is int for x in row)
+        assert row[p] > 0 and gcd(*row) == 1
+    assert linalg.rank(rows, ncols) == len(expect)
+    null = linalg.nullspace(rows, ncols)
+    assert len(null) == ncols - len(expect)
+    assert all(sum((a * b for a, b in zip(row, v)), F(0)) == 0 for row in rows for v in null)
+
+
+@st.composite
+def generator_changes(draw):
+    """Independent rows of a degree-j space, and other generators of the same
+    space: the rows scaled by nonzero rationals of either sign, shuffled and
+    padded with zero rows and combinations of the rows."""
+    j = draw(st.integers(0, 6))
+    d = draw(st.integers(1, j + 1))
+    rows = draw(st.lists(st.lists(entries, min_size=j + 1, max_size=j + 1), min_size=d, max_size=d))
+    if linalg.rank(rows, j + 1) < d:
+        assume(False)
+    other = [[c * x for x in row] for c, row in zip(draw(st.lists(nonzero, min_size=d, max_size=d)), rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        combo = draw(st.lists(small, min_size=d, max_size=d))
+        other.append([sum((a * r[k] for a, r in zip(combo, rows)), F(0)) for k in range(j + 1)])
+    return j, rows, draw(st.permutations(other))
+
+
+@SETTINGS
+@given(generator_changes())
+def test_form_space_does_not_depend_on_its_generators(case):
+    j, rows, other = case
+    V, W = FormSpace(j, rows), FormSpace.span(j, other)
+    assert V == W and hash(V) == hash(W) and V.to_json() == W.to_json()
+    red, piv = oracles.rref(rows, j + 1, col_order=range(j, -1, -1))
+    assert V.basis == tuple(BinaryForm(j, r) for r in red) and V.pivots == tuple(piv)
 
 
 @st.composite

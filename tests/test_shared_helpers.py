@@ -1,5 +1,6 @@
 """One implementation per concept: box partitions, box complements, the
-q-binomial recurrence and the hook-code invariant checks."""
+q-binomial recurrence, the hook-code invariant checks and the integer check
+of the JSON readers."""
 
 import os
 import subprocess
@@ -9,7 +10,19 @@ from pathlib import Path
 import pytest
 
 import hookcells
-from hookcells import BoxSequence, HilbertFunction, Partition, all_codes, complement, hookcode
+from hookcells import (
+    BinaryForm,
+    BoxSequence,
+    BundleClass,
+    FormSpace,
+    HilbertFunction,
+    HookCode,
+    Partition,
+    SchubertClass,
+    all_codes,
+    complement,
+    hookcode,
+)
 from hookcells.errors import InternalError
 from hookcells.partitions import box_complement, box_partitions
 
@@ -91,3 +104,38 @@ def test_code_check_runs_under_python_O():
     env = dict(os.environ, PYTHONPATH=str(Path(hookcells.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
     assert run.stdout.strip() == "raised", run.stderr
+
+
+# (reader, a valid payload, payloads that each turn one integer of it into a
+# float or a boolean); every such value used to be truncated or coerced
+JSON_READERS = [
+    (SchubertClass.from_json, {"box": [2, 2], "terms": [{"partition": [1], "coeff": 2}]}, [
+        {"box": [2, 2.0], "terms": [{"partition": [1], "coeff": 2}]},
+        {"box": [2, 2], "terms": [{"partition": [1.7], "coeff": 2}]},
+        {"box": [2, 2], "terms": [{"partition": [1], "coeff": 2.5}]},
+    ]),
+    (HookCode.from_json, {"mu": 2, "j": 4, "qs": [[0], [1], [0]]}, [
+        {"mu": 2.9, "j": 4, "qs": [[0], [1], [0]]},
+        {"mu": 2, "j": 4.2, "qs": [[0], [1], [0]]},
+        {"mu": 2, "j": 4, "qs": [[0], [True], [0]]},
+    ]),
+    (BundleClass.from_json, {"mu": 3, "j": 6, "terms": [{"a": 1, "b": 1, "coeff": 2}]}, [
+        {"mu": 3.0, "j": 6, "terms": [{"a": 1, "b": 1, "coeff": 2}]},
+        {"mu": 3, "j": 6.5, "terms": [{"a": 1, "b": 1, "coeff": 2}]},
+        {"mu": 3, "j": 6, "terms": [{"a": 1.2, "b": 1, "coeff": 2}]},
+        {"mu": 3, "j": 6, "terms": [{"a": 1, "b": True, "coeff": 2}]},
+        {"mu": 3, "j": 6, "terms": [{"a": 1, "b": 1, "coeff": 2.5}]},
+    ]),
+    (BinaryForm.from_json, {"degree": 1, "coeffs": ["1", "2"]}, [{"degree": 1.0, "coeffs": ["1", "2"]}]),
+    (HilbertFunction.from_json, [1, 2, 1], [[1, 2.0, 1]]),
+    (FormSpace.from_json, {"degree": 1, "basis": [["1/2", "1"]]}, [{"degree": True, "basis": [["1/2", "1"]]}]),
+    (Partition.from_json, [2, 1], [[2, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("reader, good, bad", JSON_READERS, ids=[r[0].__qualname__ for r in JSON_READERS])
+def test_json_readers_refuse_non_integers(reader, good, bad):
+    assert reader(good).to_json() == good
+    for payload in bad:
+        with pytest.raises(ValueError, match="must be an integer"):
+            reader(payload)
