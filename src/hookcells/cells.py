@@ -162,11 +162,16 @@ class CellParams:
 
     def __init__(self, ideal: MonomialIdeal, values: dict):
         pairs = pair_set_S(ideal)
-        values = {k: Fraction(v) for k, v in values.items()}
         if set(values) != set(pairs):
             raise InconsistentParams(
                 f"values keyed by {sorted(values)} but S(E) is {sorted(pairs)}"
             )
+        for (mu, nu), v in values.items():
+            if isinstance(v, (float, bool)):
+                raise InconsistentParams(
+                    f"value {v!r} of pair ({mono_str(mu)}, {mono_str(nu)}) is not an exact rational"
+                )
+        values = {k: Fraction(v) for k, v in values.items()}
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "values", values)
 
@@ -183,7 +188,7 @@ class CellParams:
     def from_json(cls, data) -> "CellParams":
         ideal = MonomialIdeal(Partition.from_json(data["partition"]))
         values = {
-            (parse_mono(entry["mu"]), parse_mono(entry["nu"])): Fraction(entry["value"])
+            (parse_mono(entry["mu"]), parse_mono(entry["nu"])): entry["value"]
             for entry in data["params"]
         }
         return cls(ideal, values)
@@ -234,10 +239,6 @@ class GradedIdeal:
         return self.pieces[i]
 
 
-def _shift(term: dict, dm: Monomial) -> dict:
-    return {(m[0] + dm[0], m[1] + dm[1]): c for m, c in term.items()}
-
-
 def _column_generator(m: Monomial, q) -> tuple[int, Monomial]:
     """The standard generator of column k = min(m[0], p0), whose initial
     monomial x^k y^(q(k)) divides the ideal monomial ``m``, and the shift
@@ -248,35 +249,29 @@ def _column_generator(m: Monomial, q) -> tuple[int, Monomial]:
     return k, (m[0] - k, m[1] - q[k])
 
 
-def _reduce_by_generators(g: dict, gens: dict, E: MonomialIdeal, q) -> dict:
-    """Divide away every ideal-monomial term of ``g`` using the standard
-    generators of x-power above the current one; the remainder is supported
-    on cobasis monomials."""
-    g = {m: c for m, c in g.items() if c != 0}
-    while True:
-        inside = [m for m in g if E.contains(m)]
-        if not inside:
-            return g
-        m = min(inside, key=mono_key)
-        k, shift = _column_generator(m, q)
-        coef = g[m]
-        for mm, cc in _shift(gens[k], shift).items():
-            g[mm] = g.get(mm, Fraction(0)) - coef * cc
-            if g[mm] == 0:
-                del g[mm]
+def _multiple(m: Monomial, gens: dict, q) -> list:
+    """The row of the generator multiple whose initial monomial is the ideal
+    monomial ``m``: x^sx y^sy times a row puts sy zeros in front and sx
+    behind."""
+    k, (sx, sy) = _column_generator(m, q)
+    return [0] * sy + gens[k] + [0] * sx
 
 
 def build_ideal(params: CellParams) -> GradedIdeal:
     """The unique graded ideal in the cell of E with the given coordinates.
 
-    Standard generators f(x^c y^(q(c))) are produced for c = p0 down to 0.
-    Each starts as its leading monomial minus the freely chosen multiples of
-    the S(E) hands; multiplying by x and reducing against the generators
-    already built leaves a remainder supported on x-shifts of cobasis
-    monomials, and cancelling that remainder forces the remaining tail
-    coefficients.  Each degreewise piece then takes one generator multiple
-    per ideal monomial of its degree, the multiple whose initial monomial it
-    is.  Distinct initial monomials make these a basis; the closure check of
+    Standard generators f(x^c y^(q(c))) are produced for c = p0 down to 0,
+    each as its coefficient row (entry k is the coefficient of x^(d-k) y^k),
+    so its initial monomial is its last nonzero entry.  Each starts as its
+    leading monomial minus the freely chosen multiples of the S(E) hands.
+    Multiplying by x appends a zero; every other term of a generator
+    multiple has a larger x-power than its initial monomial, so one pass
+    over x * f by increasing x-power reduces it against the generators
+    already built.  The remainder is supported on x-shifts of cobasis
+    monomials, and cancelling it forces the remaining tail coefficients.
+    Each degreewise piece then takes one generator multiple per ideal
+    monomial of its degree, the multiple whose initial monomial it is.
+    Distinct initial monomials make these a basis; the closure check of
     :class:`GradedIdeal` then shows that every other generator multiple lies
     in the pieces too.
     """
@@ -284,42 +279,40 @@ def build_ideal(params: CellParams) -> GradedIdeal:
     T = E.hilbert_function
     q = E.column_heights()
     p0 = len(q) - 1
-    cob = set(E.cobasis())
     free_by_mu: dict[Monomial, list] = {}
-    for (mu, nu) in pair_set_S(E):
-        free_by_mu.setdefault(mu, []).append(nu)
+    for (mu, nu), value in params.values.items():
+        free_by_mu.setdefault(mu, []).append((nu, value))
 
-    gens: dict[int, dict] = {p0: {(p0, 0): Fraction(1)}}
+    gens: dict[int, list] = {p0: [1] + [0] * p0}
     for c in range(p0 - 1, -1, -1):
-        beta = (c, q[c])
-        f = {beta: Fraction(1)}
-        for nu in free_by_mu.get(beta, ()):
-            f[nu] = -params.values[(beta, nu)]
-        g = _shift(f, (1, 0))
-        rem = _reduce_by_generators(g, gens, E, q)
-        for m, coef in rem.items():
-            nu = (m[0] - 1, m[1])
-            if m[0] < 1 or nu not in cob or mono_key(nu) <= mono_key(beta):
-                raise InconsistentParams(f"reduction left an unexpected term {mono_str(m)}")
-            f[nu] = -coef
+        d = c + q[c]
+        f = [0] * (d + 1)
+        f[q[c]] = 1
+        for nu, value in free_by_mu.get((c, q[c]), ()):
+            f[nu[1]] = -value
+        g = f + [0]
+        for yp in range(d + 1, -1, -1):
+            m = (d + 1 - yp, yp)
+            if g[yp] and E.contains(m):
+                coef = g[yp]
+                g = [a - coef * b for a, b in zip(g, _multiple(m, gens, q))]
+        for yp, coef in enumerate(g):
+            if coef:
+                if yp >= q[c] or E.contains((d - yp, yp)):
+                    term = mono_str((d + 1 - yp, yp))
+                    raise InconsistentParams(f"reduction left an unexpected term {term}")
+                f[yp] = -coef
         gens[c] = f
 
-    forms = {
-        c: BinaryForm.from_monomials(c + q[c], f) for c, f in gens.items()
-    }
     pieces = {}
     for d in range(T.mu, T.j + 1):
-        rows = []
-        for m in E.piece(d):
-            k, shift = _column_generator(m, q)
-            rows.append(BinaryForm.from_monomials(d, _shift(gens[k], shift)))
-        space = FormSpace(d, rows)
+        space = FormSpace(d, [_multiple(m, gens, q) for m in E.piece(d)])
         if space.dim != d + 1 - T.value(d):
             raise InconsistentParams(
                 f"degree-{d} piece came out {space.dim}-dimensional"
             )
         pieces[d] = space
-    ordered = tuple(forms[c] for c in range(p0 + 1))
+    ordered = tuple(BinaryForm(c + q[c], gens[c]) for c in range(p0 + 1))
     return GradedIdeal(T, pieces, ordered)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from . import unipoly
 from .errors import InternalError, NotFound
@@ -178,11 +178,7 @@ def gaussian_binomial(a: int, b: int) -> tuple[int, ...]:
 
 def poincare_factors(T) -> tuple[tuple[int, ...], ...]:
     """One q-binomial per degree: the Betti numbers of each small Grassmannian."""
-    T = as_hilbert(T)
-    return tuple(
-        gaussian_binomial(1 + T.delta(i), T.value(i) - T.value(i + 1))
-        for i in range(T.mu, T.j + 1)
-    )
+    return tuple(gaussian_binomial(rows, cols) for rows, cols in BoxSequence(T).boxes)
 
 
 def betti_numbers(T) -> tuple[int, ...]:
@@ -203,9 +199,6 @@ def poincare(T) -> tuple[int, ...]:
 
 
 def cell_count(T) -> int:
-    """Product-of-binomials count of shapes with diagonal lengths ``T``."""
-    T = as_hilbert(T)
-    b = 1
-    for i in range(T.mu, T.j + 1):
-        b *= comb(1 + T.value(i - 1) - T.value(i + 1), T.value(i) - T.value(i + 1))
-    return b
+    """Product-of-binomials count of shapes with diagonal lengths ``T``: one
+    binomial per box, the number of partitions that fit it."""
+    return prod(comb(rows + cols, rows) for rows, cols in BoxSequence(T).boxes)

@@ -14,7 +14,8 @@ arm - leg = 1 index the free parameters of the cells studied in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InvalidT, NonAdmissible
@@ -29,6 +30,16 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def _index(value, what: str, error=ValueError) -> int:
+    """``value`` as an integer through ``operator.index``; ``error`` naming
+    ``what`` when it is a float or anything else without an exact integer
+    value, which ``int()`` would truncate."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class Partition:
     """An integer partition (weakly decreasing positive parts)."""
@@ -36,7 +47,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(_index(p, "part") for p in parts)
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts not weakly decreasing: {parts}")
         if parts and parts[-1] < 1:
@@ -157,14 +168,17 @@ class HilbertFunction:
     The shape is ``t_i = i + 1`` for ``i < mu`` followed by a weakly
     decreasing positive tail; anything else raises :class:`InvalidT`.  The
     empty sequence is allowed and corresponds to the empty partition.
+    ``mu``, the order, is the first degree where the sequence leaves the
+    staircase: the first i with t_i <= i, reading t_i = 0 past the end.
     """
 
     t: tuple[int, ...]
+    mu: int = field(compare=False, repr=False)
 
     def __init__(self, t=()):
-        t = tuple(int(x) for x in t)
-        mu = next((i for i in range(len(t) + 1) if self._tval(t, i) <= i), 0)
-        if any(t[i] != i + 1 for i in range(min(mu, len(t)))):
+        t = tuple(_index(x, "Hilbert function value", InvalidT) for x in t)
+        mu = next((i for i, v in enumerate(t) if v <= i), len(t))
+        if any(t[i] != i + 1 for i in range(mu)):
             raise InvalidT(f"prefix of {t} is not 1, 2, 3, ...")
         tail = t[mu:]
         if any(tail[k] < tail[k + 1] for k in range(len(tail) - 1)):
@@ -172,10 +186,7 @@ class HilbertFunction:
         if t and t[-1] < 1:
             raise InvalidT(f"last entry of {t} must be positive")
         object.__setattr__(self, "t", t)
-
-    @staticmethod
-    def _tval(t, i):
-        return t[i] if 0 <= i < len(t) else 0
+        object.__setattr__(self, "mu", mu)
 
     def __len__(self):
         return len(self.t)
@@ -188,11 +199,6 @@ class HilbertFunction:
 
     def __repr__(self):
         return f"HilbertFunction({list(self.t)})"
-
-    @property
-    def mu(self) -> int:
-        """Order: the first degree where the sequence leaves the staircase."""
-        return next(i for i in range(len(self.t) + 1) if self.value(i) <= i)
 
     @property
     def j(self) -> int:

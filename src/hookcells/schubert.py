@@ -12,11 +12,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BoxMismatch, DimensionMismatch, MalformedE, ShapeMismatch
-from .partitions import json_int, ramification_partition
+from .partitions import _index, json_int, ramification_partition
 
 
 def _norm_partition(parts) -> tuple[int, ...]:
-    parts = tuple(int(v) for v in parts)
+    parts = tuple(_index(v, "part") for v in parts)
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or any(v < 0 for v in parts):

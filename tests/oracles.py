@@ -5,10 +5,12 @@ row reduction and row-space membership over :class:`~fractions.Fraction`,
 a Laplace determinant over Fraction polynomials, a
 rational root search that evaluates every rational-root-theorem candidate
 with Fraction arithmetic, a frame change that expands every monomial
-binomially, and ideal pieces spanned by every monomial multiple of the
-generators, a Littlewood-Richardson product that counts the tableaux of
-every shape in the box, and every partition of n by recursion on the largest
-part.  They share no code with the paths they check.
+binomially, standard generators built on monomial dicts and reduced by a
+search for the smallest ideal monomial after every subtraction, ideal pieces
+spanned by every monomial multiple of the generators, a Littlewood-Richardson
+product that counts the tableaux of every shape in the box, and every
+partition of n by recursion on the largest part.  They share no code with
+the paths they check.
 
 Two cross-checks that the library leaves to the tests live here too: the
 Wronskian dehomogenized at x = 1 as well as at y = 1, and the
@@ -19,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from hookcells import BinaryForm, FormSpace, Partition, SchubertClass
+from hookcells import BinaryForm, FormSpace, Partition, SchubertClass, pair_set_S
 from hookcells.partitions import box_complement, box_partitions
 from hookcells.unipoly import _divisors
 
@@ -259,6 +261,65 @@ def ideal_pieces(generators, T):
         ]
         pieces[d] = FormSpace.span(d, spanning)
     return pieces
+
+
+def _shift(term, dm):
+    return {(m[0] + dm[0], m[1] + dm[1]): c for m, c in term.items()}
+
+
+def _column_shift(m, q):
+    k = min(m[0], len(q) - 1)
+    return k, (m[0] - k, m[1] - q[k])
+
+
+def _mono_key(m):
+    return (m[0] + m[1], m[0])
+
+
+def _reduce_by_generators(g, gens, E, q):
+    """Divide away every ideal-monomial term of ``g``, smallest first, each
+    time searching the remaining terms again."""
+    g = {m: c for m, c in g.items() if c != 0}
+    while True:
+        inside = [m for m in g if E.contains(m)]
+        if not inside:
+            return g
+        m = min(inside, key=_mono_key)
+        k, shift = _column_shift(m, q)
+        coef = g[m]
+        for mm, cc in _shift(gens[k], shift).items():
+            g[mm] = g.get(mm, Fraction(0)) - coef * cc
+            if g[mm] == 0:
+                del g[mm]
+
+
+def standard_generators(params):
+    """The standard generators of the ideal with cell coordinates ``params``,
+    built on monomial dicts: each starts as its leading monomial minus the
+    free multiples of the S(E) hands, read from ``pair_set_S``, and x times
+    it, reduced against the generators of larger column, forces the rest of
+    its tail."""
+    E = params.ideal
+    q = E.column_heights()
+    p0 = len(q) - 1
+    cob = set(E.cobasis())
+    free_by_mu = {}
+    for (mu, nu) in pair_set_S(E):
+        free_by_mu.setdefault(mu, []).append(nu)
+    gens = {p0: {(p0, 0): Fraction(1)}}
+    for c in range(p0 - 1, -1, -1):
+        beta = (c, q[c])
+        f = {beta: Fraction(1)}
+        for nu in free_by_mu.get(beta, ()):
+            f[nu] = -params.values[(beta, nu)]
+        rem = _reduce_by_generators(_shift(f, (1, 0)), gens, E, q)
+        for m, coef in rem.items():
+            nu = (m[0] - 1, m[1])
+            if m[0] < 1 or nu not in cob or _mono_key(nu) <= _mono_key(beta):
+                raise ValueError(f"reduction left an unexpected term {m}")
+            f[nu] = -coef
+        gens[c] = f
+    return tuple(BinaryForm.from_monomials(c + q[c], gens[c]) for c in range(p0 + 1))
 
 
 def lr_coefficient(lam, mu, nu) -> int:

@@ -145,6 +145,16 @@ def test_params_must_match_pair_set():
         CellParams(E, {((0, 2), (1, 1)): F(1), ((9, 9), (8, 8)): F(1)})
 
 
+def test_params_refuse_inexact_values():
+    E = ideal_of([2, 2])
+    pair = ((0, 2), (1, 1))
+    for bad in (0.1, 2.0, True):
+        with pytest.raises(InconsistentParams, match=r"x\^0 y\^2, x\^1 y\^1"):
+            CellParams(E, {pair: bad})
+    for good in (2, F(1, 10), "1/10", "0.1"):
+        assert CellParams(E, {pair: good}).values[pair] == F(good)
+
+
 def test_initial_ideal_examples():
     E = ideal_of([2, 2])
     I = build_ideal(CellParams(E, {((0, 2), (1, 1)): F(5)}))

@@ -65,6 +65,17 @@ def test_malformed_payload_is_a_domain_error(tmp_path, capsys, argv, payload):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_float_cell_parameter_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    entry = {**PARAMS_22["params"][0], "value": 0.1}
+    path.write_text(json.dumps({**PARAMS_22, "params": [entry]}))
+    code = main([*FILE_COMMANDS[2], str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("InconsistentParams: ") and "0.1" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("d, j", [(-1, 1), (2, 0)])
 def test_intersect_outside_any_box_is_a_domain_error(tmp_path, capsys, d, j):
     path = tmp_path / "conditions.json"

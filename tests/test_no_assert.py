@@ -2,11 +2,36 @@
 ``assert`` statements, so no library module may use one."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hookcells
 
 SOURCES = sorted(Path(hookcells.__file__).parent.glob("*.py"))
+
+# prints the optimization level, then the class of the error each check raises
+UNDER_O = """
+import sys
+from hookcells import CellParams, FormSpace, GradedIdeal, HilbertFunction, MonomialIdeal, Partition
+from hookcells.errors import HookcellsError
+
+checks = [
+    # x * x^2 = x^3 is missing from the degree-3 piece
+    lambda: GradedIdeal(HilbertFunction([1, 2, 2, 1]), {
+        2: FormSpace(2, [[1, 0, 0]]),
+        3: FormSpace(3, [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]),
+    }),
+    lambda: CellParams(MonomialIdeal(Partition([2, 2])), {((0, 2), (1, 1)): 0.1}),
+]
+print(sys.flags.optimize)
+for check in checks:
+    try:
+        check()
+    except HookcellsError as exc:
+        print(type(exc).__name__)
+"""
 
 
 def test_library_has_no_assert_statement():
@@ -17,3 +42,12 @@ def test_library_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_checks_run_under_python_O():
+    env = {**os.environ, "PYTHONPATH": str(Path(hookcells.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", UNDER_O], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "NotAnIdeal", "InconsistentParams"]

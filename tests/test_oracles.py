@@ -1,7 +1,7 @@
 """Differential tests: fraction-free row reduction, the integer Wronskian,
 the filtered rational root search, the Horner frame change, membership by
-pivot reduction and the triangular ideal pieces against the slow paths in
-``oracles`` and ``linalg.in_rowspace``."""
+pivot reduction, the one-pass generator rows and the triangular ideal pieces
+against the slow paths in ``oracles`` and ``linalg.in_rowspace``."""
 
 from fractions import Fraction as F
 from math import comb, gcd
@@ -292,5 +292,6 @@ def cell_params(draw, max_n=8):
 @given(cell_params())
 def test_build_ideal_pieces_match_overcomplete_span(params):
     ideal = build_ideal(params)
+    assert ideal.generators == oracles.standard_generators(params)
     assert ideal.pieces == oracles.ideal_pieces(ideal.generators, ideal.hilbert_function)
     assert initial_ideal(ideal) == params.ideal

@@ -99,6 +99,28 @@ def test_mu_j_edge_cases():
     assert (empty.mu, empty.j, empty.n) == (0, -1, 0)
 
 
+def test_mu_is_the_first_degree_off_the_staircase():
+    for T in (HilbertFunction(()), *hilbert_functions_upto(12)):
+        assert T.mu == next(i for i in range(len(T) + 1) if T.value(i) <= i)
+
+
+def test_hilbert_function_equality_and_hash_read_t_alone():
+    T, U = HilbertFunction([1, 2, 1]), HilbertFunction((1, 2, 1))
+    object.__setattr__(U, "mu", 99)
+    assert T == U and hash(T) == hash(U) and repr(U) == "HilbertFunction([1, 2, 1])"
+    assert T != HilbertFunction([1, 2, 2, 1])
+
+
+def test_partition_refuses_non_integer_parts():
+    with pytest.raises(ValueError, match="2.7"):
+        Partition([2.7, 1])
+
+
+def test_hilbert_function_refuses_non_integer_values():
+    with pytest.raises(InvalidT, match="2.9"):
+        HilbertFunction([1, 2.9, 1.2])
+
+
 @given(partitions)
 def test_dual_is_involution(p):
     assert p.dual().dual() == p

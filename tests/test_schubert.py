@@ -222,6 +222,11 @@ def test_errors():
         grass_degree(3, 2)
 
 
+def test_basis_refuses_non_integer_parts():
+    with pytest.raises(ValueError, match="1.9"):
+        SchubertClass.basis((2, 2), [1.9])
+
+
 def test_serialization():
     box = (2, 2)
     cls = lr_multiply(SchubertClass.basis(box, (1,)), SchubertClass.basis(box, (1,)))
