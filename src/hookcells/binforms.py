@@ -340,11 +340,13 @@ def wronskian(space: FormSpace) -> BinaryForm:
     if d < 1:
         raise DegenerateBasis("Wronskian needs a nonzero space")
     n_deg = d * space.codim
-    # the stored integer rows, as polynomials in x: their scale factors drop
-    # out when the result is normalized
+    # the stored integer rows, as polynomials in x, and in row k their
+    # Taylor coefficients f^(k) / k!, smaller than the derivatives: these
+    # scale factors drop out when the result is normalized.  The division by
+    # k is exact, since i C(i+k-1, k-1) = k C(i+k-1, k).
     rows = [[unipoly.trim(row[::-1]) for row in space.rows]]
-    for _ in range(d - 1):
-        rows.append([unipoly.derivative(q) for q in rows[-1]])
+    for k in range(1, d):
+        rows.append([[i * q[i] // k for i in range(1, len(q))] or [0] for q in rows[-1]])
     w = unipoly.trim(unipoly.det(rows))
     if unipoly.is_zero(w):
         raise InternalError(f"zero Wronskian for the independent basis {space.basis}")

@@ -32,12 +32,14 @@ def json_int(value, what: str) -> int:
 
 def _index(value, what: str, error=ValueError) -> int:
     """``value`` as an integer through ``operator.index``; ``error`` naming
-    ``what`` when it is a float or anything else without an exact integer
-    value, which ``int()`` would truncate."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+    ``what`` when it is a boolean, a float or anything else without an exact
+    integer value, which ``int()`` would truncate or coerce."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

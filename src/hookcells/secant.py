@@ -250,7 +250,7 @@ class TripleRamificationCount:
 
     product_class: BundleClass
     count: int
-    det_poly: tuple[Fraction, ...]
+    det_poly: tuple[int, ...]
     det_degree: int
     root_count: int
 
@@ -274,9 +274,7 @@ def ramification_count_example() -> TripleRamificationCount:
     # f_a = x (x + y)(x + a y) = x^3 + (1+a) x^2 y + a x y^2, coefficients as
     # polynomials in a; rows are x^3 f, x^2 y f, x y^2 f, y^3 f written in the
     # basis (x^5 y, x^4 y^2, x^3 y^3, x^2 y^4) of R_6 mod <y^6, x y^5, x^6>.
-    one = [Fraction(1)]
-    a_lin = [Fraction(0), Fraction(1)]
-    one_plus_a = [Fraction(1), Fraction(1)]
+    one, a_lin, one_plus_a = [1], [0, 1], [1, 1]
     f_coeffs = {(3, 0): one, (2, 1): one_plus_a, (1, 2): a_lin}  # (xpow, ypow) -> poly in a
     basis = [(5, 1), (4, 2), (3, 3), (2, 4)]
     dropped = {(0, 6), (1, 5), (6, 0)}

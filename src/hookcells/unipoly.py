@@ -5,6 +5,11 @@ is ``[0]``.  The arithmetic keeps the coefficient type it is given, so
 integer polynomials stay integer and :class:`~fractions.Fraction` ones stay
 rational.  Just enough of it for Wronskians, determinants with polynomial
 entries and exact rational root extraction.
+
+``det`` takes integer polynomials only and computes over the integers, on one
+of two paths chosen by the size of the matrix: Kronecker substitution up to
+``KRONECKER_MAX`` rows, evaluation, Bareiss elimination and interpolation
+above it.
 """
 
 import math
@@ -51,42 +56,145 @@ def mul(p, q):
     return trim(out)
 
 
-def derivative(p):
-    return trim([i * p[i] for i in range(1, len(p))]) if len(p) > 1 else list(ZERO)
+# Largest matrix size for which Kronecker substitution is faster than
+# evaluation and interpolation (measured on Wronskian matrices; README).
+KRONECKER_MAX = 7
 
 
 def det(matrix):
-    """Determinant of a square matrix with polynomial entries.
+    """Determinant of a square matrix of integer polynomials.
 
-    Laplace expansion along the first remaining row, memoised on the set of
-    unused columns; fine for the small matrices that arise here.
+    Every coefficient of every entry must be an ``int`` (``TypeError``
+    otherwise); the result is an integer polynomial.  Up to
+    ``KRONECKER_MAX`` rows the matrix is evaluated at one large power of 2
+    and expanded by Laplace over the integers; above it, it is evaluated at
+    one integer point per possible coefficient of the result, each
+    determinant is taken by Bareiss elimination and the values are
+    interpolated.
     """
     n = len(matrix)
     if n == 0:
         return [1]
+    if n <= KRONECKER_MAX:
+        return _det_kronecker(matrix)
+    return _det_interpolated(matrix)
+
+
+def _checked(values):
+    if any(type(v) is not int for row in values for v in row):
+        raise TypeError("det needs polynomial entries with int coefficients")
+    return values
+
+
+def _det_kronecker(matrix):
+    """Kronecker substitution: the determinant at x = 2^B, read back as
+    balanced base-2^B digits.  No coefficient of the determinant exceeds the
+    product of the row (or column) sums of the entries' l1 norms, so B one
+    bit above that bound makes every digit exact."""
+    norms = _checked([[sum(map(abs, e)) for e in row] for row in matrix])
+    bound = min(math.prod(map(sum, norms)), math.prod(map(sum, zip(*norms))))
+    bits = bound.bit_length() + 1
+    values = []
+    for row in matrix:
+        vrow = []
+        for e in row:
+            acc = 0
+            for c in reversed(e):
+                acc = (acc << bits) + c
+            vrow.append(acc)
+        values.append(vrow)
+    v = _laplace(values)
+    out = []
+    mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    while v:
+        digit = v & mask
+        if digit >= half:
+            digit -= base
+        out.append(digit)
+        v = (v - digit) >> bits
+    return out or [0]
+
+
+def _laplace(m):
+    """Determinant of an integer matrix by Laplace expansion along the first
+    remaining row, memoised on the set of unused columns."""
+    n = len(m)
     memo = {}
 
     def minor(row, colmask):
         if row == n:
-            return [1]
-        key = colmask
-        if key in memo:
-            return memo[key]
-        acc = list(ZERO)
-        sign = 1
-        for c in range(n):
+            return 1
+        if colmask in memo:
+            return memo[colmask]
+        acc, sign = 0, 1
+        for c, v in enumerate(m[row]):
             bit = 1 << c
-            if not colmask & bit:
-                continue
-            entry = matrix[row][c]
-            if not is_zero(entry):
-                term = mul(entry, minor(row + 1, colmask & ~bit))
-                acc = add(acc, term if sign > 0 else [-x for x in term])
-            sign = -sign
-        memo[key] = acc
+            if colmask & bit:
+                if v:
+                    t = v * minor(row + 1, colmask ^ bit)
+                    acc = acc + t if sign > 0 else acc - t
+                sign = -sign
+        memo[colmask] = acc
         return acc
 
     return minor(0, (1 << n) - 1)
+
+
+def _det_interpolated(matrix):
+    """Evaluation and interpolation: the determinant at deg + 1 consecutive
+    integers centred on 0, each by Bareiss elimination, interpolated by
+    Newton forward differences.  deg bounds the degree of the determinant by
+    the sum of the rows' (or the columns') largest entry degrees."""
+    lens = [[len(e) for e in row] for row in matrix]
+    deg = min(sum(map(max, lens)), sum(map(max, zip(*lens)))) - len(matrix)
+    x0 = -(deg // 2)
+    ys = []
+    for x in range(x0, x0 + deg + 1):
+        values = []
+        for row in matrix:
+            vrow = []
+            for e in row:
+                acc = 0
+                for c in reversed(e):
+                    acc = acc * x + c
+                vrow.append(acc)
+            values.append(vrow)
+        ys.append(_bareiss(_checked(values)))
+    # Newton coefficients a_k = Delta^k y_0 / k!, integers because the
+    # determinant has integer coefficients
+    newton, fact = [], 1
+    for k in range(deg + 1):
+        if k:
+            fact *= k
+            ys = [b - a for a, b in zip(ys, ys[1:])]
+        a, r = divmod(ys[0], fact)
+        if r:
+            raise InternalError(f"interpolated determinant has a non-integer coefficient: {ys[0]}/{fact}")
+        newton.append(a)
+    # sum of a_k (x - x0)(x - x0 - 1)...(x - x0 - k + 1), by Horner from the top
+    out = [newton[-1]]
+    for k in range(deg - 1, -1, -1):
+        t = x0 + k
+        out = [newton[k] - t * out[0]] + [out[i - 1] - t * out[i] for i in range(1, len(out))] + [out[-1]]
+    return trim(out)
+
+
+def _bareiss(m):
+    """Determinant of an integer matrix by fraction-free elimination
+    (Bareiss 1968): each step replaces the matrix by its Schur complement
+    scaled by the pivot and divided, exactly, by the previous pivot."""
+    sign, prev = 1, 1
+    while len(m) > 1:
+        if not m[0][0]:
+            swap = next((i for i, row in enumerate(m) if row[0]), None)
+            if swap is None:
+                return 0
+            m[0], m[swap] = m[swap], m[0]
+            sign = -sign
+        (piv, *top), rest = m[0], m[1:]
+        m = [[(piv * x - a * y) // prev for x, y in zip(row, top)] for a, *row in rest]
+        prev = piv
+    return sign * m[0][0]
 
 
 # -- integer factorisation (for rational root candidates) --------------------

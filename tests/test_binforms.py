@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from hookcells import (
     total_ramification_check,
     wronskian,
 )
+from hookcells import unipoly
 from hookcells.errors import DegenerateBasis
 from hookcells.partitions import box_complement
 import oracles
@@ -146,6 +148,31 @@ def test_wronskian_degree_and_divisibility_random():
             ns = ram_data(V, pt).degree_sequence
             assert (val > 0) == (ns[-1] >= d)
             assert val == ram_data(V, pt).total
+
+
+def test_large_wronskian_in_polynomial_time(monkeypatch):
+    """A dense (12, 28) space.  A polynomial Laplace expansion takes about
+    10.5 s here and evaluation with interpolation about 0.6 s (shared 2-core
+    machine), so the 5 s bound catches a return to exponential cost.  The
+    determinant is checked against the Kronecker path on the same matrix,
+    outside the timed call."""
+    rng = random.Random(5)
+    V = FormSpace(28, [[rng.randint(-9, 9) for _ in range(29)] for _ in range(12)])
+    calls = []
+    det = unipoly.det
+
+    def recording_det(matrix):
+        calls.append((matrix, det(matrix)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(unipoly, "det", recording_det)
+    start = time.perf_counter()
+    w = wronskian(V)
+    assert time.perf_counter() - start < 5
+    assert w.degree == 12 * 17
+    [(matrix, got)] = calls
+    assert len(matrix) > unipoly.KRONECKER_MAX
+    assert unipoly._det_kronecker(matrix) == got
 
 
 def test_complement_dual_identity_random():

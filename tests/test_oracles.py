@@ -1,7 +1,8 @@
-"""Differential tests: fraction-free row reduction, the integer Wronskian,
-the filtered rational root search, the Horner frame change, membership by
-pivot reduction, the one-pass generator rows and the triangular ideal pieces
-against the slow paths in ``oracles`` and ``linalg.in_rowspace``."""
+"""Differential tests: fraction-free row reduction, both integer
+determinant paths, the integer Wronskian, the filtered rational root
+search, the Horner frame change, membership by pivot reduction, the
+one-pass generator rows and the triangular ideal pieces against the slow
+paths in ``oracles`` and ``linalg.in_rowspace``."""
 
 from fractions import Fraction as F
 from math import comb, gcd
@@ -46,10 +47,16 @@ points = st.one_of(
 PRIMES = (2, 3, 7, 101, 1000003, 999999937, 2147483647, 2**61 - 1)
 
 
+def dim_and_degree(draw, min_d, max_d, max_j):
+    """d in min_d..max_d and j in max(d - 1, 1)..max_j, or ..2d + 3 when
+    max_j is None."""
+    d = draw(st.integers(min_d, max_d))
+    return d, draw(st.integers(max(d - 1, 1), 2 * d + 3 if max_j is None else max_j))
+
+
 @st.composite
-def dense_spaces(draw, max_d=5, max_j=10):
-    d = draw(st.integers(1, max_d))
-    j = draw(st.integers(max(d - 1, 1), max_j))
+def dense_spaces(draw, max_d=5, max_j=10, min_d=1):
+    d, j = dim_and_degree(draw, min_d, max_d, max_j)
     rows = draw(st.lists(st.lists(entries, min_size=j + 1, max_size=j + 1), min_size=d, max_size=d))
     try:
         return FormSpace(j, rows)
@@ -58,10 +65,9 @@ def dense_spaces(draw, max_d=5, max_j=10):
 
 
 @st.composite
-def two_point_spaces(draw, max_d=5, max_j=10):
+def two_point_spaces(draw, max_d=5, max_j=10, min_d=1):
     """span{x^a (x - r y)^(j - a)}: ramified only at x = 0 and x = r y."""
-    d = draw(st.integers(1, max_d))
-    j = draw(st.integers(max(d - 1, 1), max_j))
+    d, j = dim_and_degree(draw, min_d, max_d, max_j)
     powers = draw(st.lists(st.integers(0, j), min_size=d, max_size=d, unique=True))
     r = draw(nonzero)
     rows = [[comb(j - a, k) * (-r) ** k if k <= j - a else 0 for k in range(j + 1)] for a in powers]
@@ -75,6 +81,55 @@ spaces = st.one_of(dense_spaces(), two_point_spaces())
 @given(spaces)
 def test_wronskian_matches_laplace_oracle(V):
     assert wronskian(V) == oracles.wronskian(V) == oracles.wronskian(V, at="x")
+
+
+# d = 6..8 and j up to 2d + 3: Wronskian matrices on both sides of
+# unipoly.KRONECKER_MAX.  The Fraction oracle takes seconds at d = 8.
+@settings(SETTINGS, max_examples=6)
+@given(st.one_of(dense_spaces(8, None, min_d=6), two_point_spaces(8, None, min_d=6)))
+def test_large_wronskian_matches_laplace_oracle(V):
+    assert wronskian(V) == oracles.wronskian(V) == oracles.wronskian(V, at="x")
+
+
+coeffs = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square integer polynomial matrices of size 0..9 with zero and
+    constant entries and mixed degrees; in about half of those of size 2 or
+    more one row is an integer multiple of another, so the matrix is
+    singular."""
+    n = draw(st.integers(0, 9))
+    entry = st.one_of(st.just([0]), st.lists(coeffs, min_size=1, max_size=draw(st.integers(1, 4))))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    singular = n >= 2 and draw(st.booleans())
+    if singular:
+        src, dst = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-3, 3))
+        m[dst] = [[c * x for x in e] for e in m[src]]
+    return m, singular
+
+
+@SETTINGS
+@given(poly_matrices())
+def test_det_matches_laplace_oracle(case):
+    m, singular = case
+    got = unipoly.det(m)
+    assert got == oracles.laplace_det(m)
+    if singular:
+        assert got == [0]
+    if m:
+        # both paths, whichever side of the crossover n is on
+        assert unipoly._det_kronecker(m) == unipoly._det_interpolated(m) == got
+
+
+@pytest.mark.parametrize("n", [1, unipoly.KRONECKER_MAX + 1])
+def test_det_refuses_non_integer_coefficients(n):
+    m = [[[1] if r == c else [0] for c in range(n)] for r in range(n)]
+    m[-1][-1] = [0, F(1, 2)]
+    with pytest.raises(TypeError, match="int coefficients"):
+        unipoly.det(m)
 
 
 @SETTINGS

@@ -114,11 +114,15 @@ def test_hilbert_function_equality_and_hash_read_t_alone():
 def test_partition_refuses_non_integer_parts():
     with pytest.raises(ValueError, match="2.7"):
         Partition([2.7, 1])
+    with pytest.raises(ValueError, match="True"):
+        Partition([True, True])
 
 
 def test_hilbert_function_refuses_non_integer_values():
     with pytest.raises(InvalidT, match="2.9"):
         HilbertFunction([1, 2.9, 1.2])
+    with pytest.raises(InvalidT, match="True"):
+        HilbertFunction([True, 2, True])
 
 
 @given(partitions)

@@ -225,6 +225,8 @@ def test_errors():
 def test_basis_refuses_non_integer_parts():
     with pytest.raises(ValueError, match="1.9"):
         SchubertClass.basis((2, 2), [1.9])
+    with pytest.raises(ValueError, match="True"):
+        SchubertClass.basis((2, 2), [True])
 
 
 def test_serialization():
