@@ -41,16 +41,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    @classmethod
-    def from_monomials(cls, degree: int, terms: dict) -> "BinaryForm":
-        """Build from a dict mapping (x_power, y_power) to coefficient."""
-        coeffs = [Fraction(0)] * (degree + 1)
-        for (xp, yp), c in terms.items():
-            if xp + yp != degree:
-                raise ValueError(f"monomial x^{xp} y^{yp} has wrong degree")
-            coeffs[yp] += _frac(c)
-        return cls(degree, coeffs)
-
     def monomials(self) -> dict:
         return {
             (self.degree - k, k): c for k, c in enumerate(self.coeffs) if c != 0
@@ -336,25 +326,58 @@ def wronskian(space: FormSpace) -> BinaryForm:
     leading coefficient 1; its valuation at any point is the total
     ramification of the space there.
     """
+    n_deg, w = _wronskian_poly(space)
+    # the coefficient of x^m y^(n_deg - m) sits at index n_deg - m
+    lead = w[-1]
+    return BinaryForm(n_deg, [0] * (n_deg + 1 - len(w)) + [Fraction(c, lead) for c in reversed(w)])
+
+
+def _wronskian_poly(space: FormSpace):
+    """``(d * codim, w)``: the Wronskian's degree and the Wronskian at y = 1
+    as an integer polynomial, up to a constant factor.
+
+    Row k of the matrix holds the Taylor coefficients f^(k) / k! of the
+    stored integer rows, smaller than the derivatives; the factors k! and
+    the rows' scalings only scale the result.  The division by k is exact,
+    since i C(i+k-1, k-1) = k C(i+k-1, k).
+
+    The matrix is T A^t, with A the d x (j+1) stored rows and T[k][s] =
+    C(s, k) x^(s-k), so by Cauchy-Binet its determinant is the sum over the
+    d-subsets S of {0..j} of det A_S det B_S x^(sum S - C(d, 2)), with
+    B[k][s] = C(s, k).  Its degree is at most max sum S - 2 C(d, 2) =
+    d * codim, and ``_wronskian_height`` bounds its coefficients.
+    """
     d = space.dim
     if d < 1:
         raise DegenerateBasis("Wronskian needs a nonzero space")
     n_deg = d * space.codim
-    # the stored integer rows, as polynomials in x, and in row k their
-    # Taylor coefficients f^(k) / k!, smaller than the derivatives: these
-    # scale factors drop out when the result is normalized.  The division by
-    # k is exact, since i C(i+k-1, k-1) = k C(i+k-1, k).
     rows = [[unipoly.trim(row[::-1]) for row in space.rows]]
     for k in range(1, d):
         rows.append([[i * q[i] // k for i in range(1, len(q))] or [0] for q in rows[-1]])
-    w = unipoly.trim(unipoly.det(rows))
+    w = unipoly.trim(unipoly.det(rows, n_deg, _wronskian_height(space)))
     if unipoly.is_zero(w):
         raise InternalError(f"zero Wronskian for the independent basis {space.basis}")
     if len(w) > n_deg + 1:
         raise InternalError(f"Wronskian of degree {len(w) - 1} exceeds dim * codim = {n_deg}")
-    # the coefficient of x^m y^(n_deg - m) sits at index n_deg - m
-    lead = w[-1]
-    return BinaryForm(n_deg, [0] * (n_deg + 1 - len(w)) + [Fraction(c, lead) for c in reversed(w)])
+    return n_deg, w
+
+
+def _wronskian_height(space: FormSpace) -> int:
+    """A number larger than the absolute value of every coefficient of the
+    determinant in ``_wronskian_poly``.  A coefficient is a sum of
+    det A_S det B_S over some of the subsets S, so by Cauchy-Schwarz its
+    square is at most the sum of all det A_S^2 times the sum of all
+    det B_S^2.  By Cauchy-Binet these are det(A A^t), at most the product of
+    the squared row norms of A by Hadamard, and det(B B^t)."""
+    norms = math.prod(sum(c * c for c in row) for row in space.rows)
+    return math.isqrt(norms * _binomial_gram(space.dim, space.degree)) + 1
+
+
+def _binomial_gram(d, j):
+    """det(B B^t) for the d x (j+1) matrix B[k][s] = C(s, k), in closed
+    form: the product over k < d of C(j+1+k, 2k+1) / C(2k, k)."""
+    num = math.prod(math.comb(j + 1 + k, 2 * k + 1) for k in range(d))
+    return num // math.prod(math.comb(2 * k, k) for k in range(d))
 
 
 def point_valuation(form: BinaryForm, p: PointP1) -> int:
@@ -387,11 +410,9 @@ def total_ramification_check(space: FormSpace) -> RamificationSummary:
     multiplicities, together with the degree left in irrational factors, sum
     to dim * codim.
     """
-    w = wronskian(space)
-    n_deg = w.degree
-    px = unipoly.trim(w.coeff_poly_in_x())
+    n_deg, px = _wronskian_poly(space)
     vals = {}
-    at_y = n_deg - unipoly.degree(px)
+    at_y = n_deg + 1 - len(px)
     if at_y:
         vals[POINT_Y] = at_y
     for root, mult in unipoly.rational_roots(px).items():

@@ -9,6 +9,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -241,7 +242,10 @@ GROUPS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing keeps no state in
+    it, and building it costs more than most commands."""
     top = argparse.ArgumentParser(
         prog="hookcells",
         description="cell decompositions, hook codes, Wronskians and Hankel strata",

@@ -61,7 +61,7 @@ def mul(p, q):
 KRONECKER_MAX = 7
 
 
-def det(matrix):
+def det(matrix, degree=None, height=None):
     """Determinant of a square matrix of integer polynomials.
 
     Every coefficient of every entry must be an ``int`` (``TypeError``
@@ -71,13 +71,19 @@ def det(matrix):
     one integer point per possible coefficient of the result, each
     determinant is taken by Bareiss elimination and the values are
     interpolated.
+
+    A caller that knows more than the entries tell may pass ``degree``, an
+    upper bound on the degree of the determinant, and ``height``, an upper
+    bound on the absolute value of each of its coefficients; a wrong bound
+    gives a wrong result.  Without them ``det`` takes generic bounds from
+    the degrees and l1 norms of the entries.
     """
     n = len(matrix)
     if n == 0:
         return [1]
     if n <= KRONECKER_MAX:
-        return _det_kronecker(matrix)
-    return _det_interpolated(matrix)
+        return _det_kronecker(matrix, height)
+    return _det_interpolated(matrix, degree)
 
 
 def _checked(values):
@@ -86,14 +92,15 @@ def _checked(values):
     return values
 
 
-def _det_kronecker(matrix):
+def _det_kronecker(matrix, height=None):
     """Kronecker substitution: the determinant at x = 2^B, read back as
-    balanced base-2^B digits.  No coefficient of the determinant exceeds the
-    product of the row (or column) sums of the entries' l1 norms, so B one
-    bit above that bound makes every digit exact."""
-    norms = _checked([[sum(map(abs, e)) for e in row] for row in matrix])
-    bound = min(math.prod(map(sum, norms)), math.prod(map(sum, zip(*norms))))
-    bits = bound.bit_length() + 1
+    balanced base-2^B digits, with B one bit above the bit length of
+    ``height``, so every digit is exact.  The generic height is the smaller
+    product of the row (or column) sums of the entries' l1 norms."""
+    if height is None:
+        norms = _checked([[sum(map(abs, e)) for e in row] for row in matrix])
+        height = min(math.prod(map(sum, norms)), math.prod(map(sum, zip(*norms))))
+    bits = height.bit_length() + 1
     values = []
     for row in matrix:
         vrow = []
@@ -103,7 +110,7 @@ def _det_kronecker(matrix):
                 acc = (acc << bits) + c
             vrow.append(acc)
         values.append(vrow)
-    v = _laplace(values)
+    v = _laplace(_checked(values))
     out = []
     mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
     while v:
@@ -140,13 +147,14 @@ def _laplace(m):
     return minor(0, (1 << n) - 1)
 
 
-def _det_interpolated(matrix):
+def _det_interpolated(matrix, deg=None):
     """Evaluation and interpolation: the determinant at deg + 1 consecutive
     integers centred on 0, each by Bareiss elimination, interpolated by
-    Newton forward differences.  deg bounds the degree of the determinant by
-    the sum of the rows' (or the columns') largest entry degrees."""
-    lens = [[len(e) for e in row] for row in matrix]
-    deg = min(sum(map(max, lens)), sum(map(max, zip(*lens)))) - len(matrix)
+    Newton forward differences.  The generic deg is the smaller sum of the
+    rows' (or the columns') largest entry degrees."""
+    if deg is None:
+        lens = [[len(e) for e in row] for row in matrix]
+        deg = min(sum(map(max, lens)), sum(map(max, zip(*lens)))) - len(matrix)
     x0 = -(deg // 2)
     ys = []
     for x in range(x0, x0 + deg + 1):

@@ -14,7 +14,8 @@ the paths they check.
 
 Two cross-checks that the library leaves to the tests live here too: the
 Wronskian dehomogenized at x = 1 as well as at y = 1, and the
-complement-dual identity between the two ramification partitions.
+complement-dual identity between the two ramification partitions.  So does
+``from_monomials``, which writes a form from a dict of monomials.
 """
 
 import math
@@ -161,7 +162,18 @@ def wronskian(space, at="y"):
         rows.append([_derivative(q) for q in rows[-1]])
     w = laplace_det(rows)
     terms = {(m, n_deg - m) if at == "y" else (n_deg - m, m): c for m, c in enumerate(w) if c != 0}
-    return BinaryForm.from_monomials(n_deg, terms).normalized()
+    return from_monomials(n_deg, terms).normalized()
+
+
+def from_monomials(degree, terms):
+    """The degree-``degree`` form with coefficient ``c`` on x^xp y^yp for
+    each entry ``(xp, yp): c`` of ``terms``."""
+    coeffs = [Fraction(0)] * (degree + 1)
+    for (xp, yp), c in terms.items():
+        if xp + yp != degree:
+            raise ValueError(f"monomial x^{xp} y^{yp} has wrong degree")
+        coeffs[yp] += Fraction(c)
+    return BinaryForm(degree, coeffs)
 
 
 def rational_roots(p):
@@ -319,7 +331,7 @@ def standard_generators(params):
                 raise ValueError(f"reduction left an unexpected term {m}")
             f[nu] = -coef
         gens[c] = f
-    return tuple(BinaryForm.from_monomials(c + q[c], gens[c]) for c in range(p0 + 1))
+    return tuple(from_monomials(c + q[c], gens[c]) for c in range(p0 + 1))
 
 
 def lr_coefficient(lam, mu, nu) -> int:

@@ -10,7 +10,6 @@ from fractions import Fraction as F
 from math import comb, factorial
 
 from hookcells import (
-    BinaryForm,
     BundleClass,
     CellParams,
     FormSpace,
@@ -40,6 +39,7 @@ from hookcells import (
     total_ramification_check,
     wronskian,
 )
+import oracles
 from conftest import random_space
 
 
@@ -103,14 +103,14 @@ def test_criterion_3_cell_roundtrip():
 
 def _v_a(a):
     return FormSpace(3, [
-        BinaryForm.from_monomials(3, {(1, 2): 1, (3, 0): -a * a}),
-        BinaryForm.from_monomials(3, {(2, 1): 1, (3, 0): a}),
+        oracles.from_monomials(3, {(1, 2): 1, (3, 0): -a * a}),
+        oracles.from_monomials(3, {(2, 1): 1, (3, 0): a}),
     ])
 
 
 def test_criterion_4_wronskian():
     for a in (1, 2, 3):
-        expect = BinaryForm.from_monomials(
+        expect = oracles.from_monomials(
             4, {(2, 2): 1, (3, 1): 2 * a, (4, 0): a * a}
         ).normalized()
         assert wronskian(_v_a(a)) == expect
@@ -135,9 +135,9 @@ def test_criterion_4_wronskian():
         checked += 1
 
     v110 = FormSpace(4, [
-        BinaryForm.from_monomials(4, {(4, 0): 1}),
-        BinaryForm.from_monomials(4, {(3, 1): 1}),
-        BinaryForm.from_monomials(4, {(4, 0): 1, (3, 1): 3, (2, 2): 3, (1, 3): 1}),
+        oracles.from_monomials(4, {(4, 0): 1}),
+        oracles.from_monomials(4, {(3, 1): 1}),
+        oracles.from_monomials(4, {(4, 0): 1, (3, 1): 3, (2, 2): 3, (1, 3): 1}),
     ])
     assert ram_data(v110, POINT_X).qram == (2, 2, 1)
     _report(4, "Wronskian", "V_a for a=1,2,3; 200 random spaces; QRAM example")

@@ -25,7 +25,7 @@ from conftest import random_fraction, random_space
 
 
 def mono_space(j, terms_list):
-    return FormSpace(j, [BinaryForm.from_monomials(j, t) for t in terms_list])
+    return FormSpace(j, [oracles.from_monomials(j, t) for t in terms_list])
 
 
 def v_a(a):
@@ -73,13 +73,13 @@ def test_initial_space_examples():
 def test_wronskian_examples():
     for a in (1, 2, 3):
         w = wronskian(v_a(a))
-        expect = BinaryForm.from_monomials(
+        expect = oracles.from_monomials(
             4, {(2, 2): 1, (3, 1): 2 * a, (4, 0): a * a}
         ).normalized()
         assert w == expect
     j = 5
     w = wronskian(mono_space(j, [{(j, 0): 1}, {(0, j): 1}]))
-    assert w == BinaryForm.from_monomials(2 * (j - 1), {(j - 1, j - 1): 1})
+    assert w == oracles.from_monomials(2 * (j - 1), {(j - 1, j - 1): 1})
     # the full space of forms is everywhere unramified
     full = FormSpace(3, [[F(k == m) for k in range(4)] for m in range(4)])
     assert wronskian(full).degree == 0
@@ -154,23 +154,25 @@ def test_large_wronskian_in_polynomial_time(monkeypatch):
     """A dense (12, 28) space.  A polynomial Laplace expansion takes about
     10.5 s here and evaluation with interpolation about 0.6 s (shared 2-core
     machine), so the 5 s bound catches a return to exponential cost.  The
-    determinant is checked against the Kronecker path on the same matrix,
-    outside the timed call."""
+    determinant is checked, outside the timed call, against the Kronecker
+    path on the same matrix with its generic coefficient bound, which does
+    not depend on the bounds the Wronskian passes."""
     rng = random.Random(5)
     V = FormSpace(28, [[rng.randint(-9, 9) for _ in range(29)] for _ in range(12)])
     calls = []
     det = unipoly.det
 
-    def recording_det(matrix):
-        calls.append((matrix, det(matrix)))
-        return calls[-1][1]
+    def recording_det(matrix, *bounds):
+        calls.append((matrix, bounds, det(matrix, *bounds)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(unipoly, "det", recording_det)
     start = time.perf_counter()
     w = wronskian(V)
     assert time.perf_counter() - start < 5
     assert w.degree == 12 * 17
-    [(matrix, got)] = calls
+    [(matrix, (degree, _), got)] = calls
+    assert degree == 12 * 17
     assert len(matrix) > unipoly.KRONECKER_MAX
     assert unipoly._det_kronecker(matrix) == got
 

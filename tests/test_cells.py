@@ -27,6 +27,7 @@ from hookcells import (
     t_invariants,
 )
 from hookcells.errors import InconsistentParams, InvalidT, NotInBigCell
+import oracles
 
 
 def ideal_of(parts):
@@ -295,28 +296,28 @@ def test_small_grass_requires_big_cell():
 
 
 def test_graded_ideal_validates_closure():
-    from hookcells import BinaryForm, FormSpace
+    from hookcells import FormSpace
     from hookcells.errors import NotAnIdeal
 
     T = HilbertFunction([1, 2, 2, 1])
-    x2 = FormSpace(2, [BinaryForm.from_monomials(2, {(2, 0): 1})])
+    x2 = FormSpace(2, [oracles.from_monomials(2, {(2, 0): 1})])
     good3 = FormSpace(3, [
-        BinaryForm.from_monomials(3, {(3, 0): 1}),
-        BinaryForm.from_monomials(3, {(2, 1): 1}),
-        BinaryForm.from_monomials(3, {(1, 2): 1}),
+        oracles.from_monomials(3, {(3, 0): 1}),
+        oracles.from_monomials(3, {(2, 1): 1}),
+        oracles.from_monomials(3, {(1, 2): 1}),
     ])
     GradedIdeal(T, {2: x2, 3: good3})  # closed: x*x^2 and y*x^2 both land inside
     bad3 = FormSpace(3, [
-        BinaryForm.from_monomials(3, {(0, 3): 1}),
-        BinaryForm.from_monomials(3, {(1, 2): 1}),
-        BinaryForm.from_monomials(3, {(2, 1): 1}),
+        oracles.from_monomials(3, {(0, 3): 1}),
+        oracles.from_monomials(3, {(1, 2): 1}),
+        oracles.from_monomials(3, {(2, 1): 1}),
     ])
     with pytest.raises(NotAnIdeal):
         GradedIdeal(T, {2: x2, 3: bad3})  # x * x^2 falls outside
     only_x = FormSpace(3, [
-        BinaryForm.from_monomials(3, {(3, 0): 1}),
-        BinaryForm.from_monomials(3, {(1, 2): 1}),
-        BinaryForm.from_monomials(3, {(0, 3): 1}),
+        oracles.from_monomials(3, {(3, 0): 1}),
+        oracles.from_monomials(3, {(1, 2): 1}),
+        oracles.from_monomials(3, {(0, 3): 1}),
     ])
     with pytest.raises(NotAnIdeal):
         GradedIdeal(T, {2: x2, 3: only_x})  # x * x^2 lies inside, y * x^2 does not

@@ -10,7 +10,8 @@ from hookcells import (
     SchubertClass,
     BundleClass,
 )
-from hookcells.cli import dumps, main
+from hookcells.cli import build_parser, dumps, main
+import oracles
 
 
 def run(capsys, *argv):
@@ -72,8 +73,8 @@ def test_secant_pullback(capsys):
 
 def test_wronskian_and_qram(tmp_path, capsys):
     space = FormSpace(3, [
-        BinaryForm.from_monomials(3, {(1, 2): 1, (3, 0): -4}),
-        BinaryForm.from_monomials(3, {(2, 1): 1, (3, 0): 2}),
+        oracles.from_monomials(3, {(1, 2): 1, (3, 0): -4}),
+        oracles.from_monomials(3, {(2, 1): 1, (3, 0): 2}),
     ])
     path = tmp_path / "space.json"
     path.write_text(json.dumps(space.to_json()))
@@ -143,12 +144,34 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_usage_error_leaves_the_cached_parser_as_fresh(capsys):
+    """The parser is built once per process.  A usage error (exit 2) and a
+    valid call through it print what they print on a freshly built one."""
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    bad = ("decode", "--T", "1,2,3,2,1", "--code", "[[0],[x]]")
+    valid = ("decode", "--T", "1,2,3,2,1", "--code", "[[0],[2]]", "--format", "json")
+    fresh = []
+    for argv in (bad, valid):
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert fresh[0][0] == 2 and fresh[1][0] == 0
+    assert build_parser() is build_parser()
+    assert [outcome(bad), outcome(valid), outcome(valid)] == [fresh[0], fresh[1], fresh[1]]
+
+
 def test_json_outputs_roundtrip_byte_identical(tmp_path, capsys):
     """Every --format json output re-serializes identically through the
     module serializers."""
     space = FormSpace(3, [
-        BinaryForm.from_monomials(3, {(1, 2): 1, (3, 0): -1}),
-        BinaryForm.from_monomials(3, {(2, 1): 1, (3, 0): 1}),
+        oracles.from_monomials(3, {(1, 2): 1, (3, 0): -1}),
+        oracles.from_monomials(3, {(2, 1): 1, (3, 0): 1}),
     ])
     space_path = tmp_path / "space.json"
     space_path.write_text(json.dumps(space.to_json()))

@@ -29,7 +29,7 @@ from hookcells import (
     total_ramification_check,
     wronskian,
 )
-from hookcells import linalg, unipoly
+from hookcells import binforms, linalg, unipoly
 from hookcells.errors import DegenerateBasis, ZeroForm
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -55,9 +55,9 @@ def dim_and_degree(draw, min_d, max_d, max_j):
 
 
 @st.composite
-def dense_spaces(draw, max_d=5, max_j=10, min_d=1):
+def dense_spaces(draw, max_d=5, max_j=10, min_d=1, entry=entries):
     d, j = dim_and_degree(draw, min_d, max_d, max_j)
-    rows = draw(st.lists(st.lists(entries, min_size=j + 1, max_size=j + 1), min_size=d, max_size=d))
+    rows = draw(st.lists(st.lists(entry, min_size=j + 1, max_size=j + 1), min_size=d, max_size=d))
     try:
         return FormSpace(j, rows)
     except DegenerateBasis:
@@ -72,6 +72,14 @@ def two_point_spaces(draw, max_d=5, max_j=10, min_d=1):
     r = draw(nonzero)
     rows = [[comb(j - a, k) * (-r) ** k if k <= j - a else 0 for k in range(j + 1)] for a in powers]
     return FormSpace(j, rows)
+
+
+@st.composite
+def monomial_spaces(draw, max_d=5, max_j=10, min_d=1):
+    """span{x^a}: every stored row is a unit vector."""
+    d, j = dim_and_degree(draw, min_d, max_d, max_j)
+    powers = draw(st.lists(st.integers(0, j), min_size=d, max_size=d, unique=True))
+    return FormSpace(j, [[int(k == j - a) for k in range(j + 1)] for a in powers])
 
 
 spaces = st.one_of(dense_spaces(), two_point_spaces())
@@ -89,6 +97,48 @@ def test_wronskian_matches_laplace_oracle(V):
 @given(st.one_of(dense_spaces(8, None, min_d=6), two_point_spaces(8, None, min_d=6)))
 def test_large_wronskian_matches_laplace_oracle(V):
     assert wronskian(V) == oracles.wronskian(V) == oracles.wronskian(V, at="x")
+
+
+def taylor_matrix(V):
+    """Row k holds the Taylor coefficients f^(k) / k! of the stored rows at
+    y = 1, the matrix whose determinant the Wronskian bounds are about."""
+    j = V.degree
+    return [[[comb(s, k) * row[j - s] for s in range(k, j + 1)] for row in V.rows] for k in range(V.dim)]
+
+
+def test_binomial_gram_closed_form():
+    """det(B B^t) for B[k][s] = C(s, k), k < d, s <= j, by integer Bareiss
+    against the closed form, for 1 <= d <= j + 1 <= 40."""
+    for n in range(1, 41):
+        for d in range(1, n + 1):
+            B = [[comb(s, k) for s in range(n)] for k in range(d)]
+            gram = [[sum(a * b for a, b in zip(r, t)) for t in B] for r in B]
+            assert binforms._binomial_gram(d, n - 1) == unipoly._bareiss(gram), (d, n - 1)
+
+
+# d = 1..8, j up to 2d + 3; entries up to 10^6 in the dense spaces, unit
+# rows (full spaces among them) where the bound is closest
+bound_spaces = st.one_of(
+    dense_spaces(8, None, entry=st.integers(-10**6, 10**6)),
+    two_point_spaces(8, None),
+    monomial_spaces(8, None),
+)
+
+
+@settings(SETTINGS, max_examples=25)
+@given(bound_spaces)
+def test_wronskian_bounds_hold_on_the_laplace_oracle(V):
+    """Every coefficient of the determinant lies below the height and its
+    degree within d * codim, and both det paths give it with and without
+    the bounds."""
+    m = taylor_matrix(V)
+    w = oracles._trim(oracles.laplace_det(m))
+    n_deg, height = V.dim * V.codim, binforms._wronskian_height(V)
+    assert len(w) - 1 <= n_deg
+    assert all(abs(c) < height for c in w)
+    assert unipoly.det(m, n_deg, height) == w
+    assert unipoly._det_kronecker(m, height) == unipoly._det_kronecker(m) == w
+    assert unipoly._det_interpolated(m, n_deg) == unipoly._det_interpolated(m) == w
 
 
 coeffs = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
@@ -130,6 +180,11 @@ def test_det_refuses_non_integer_coefficients(n):
     m[-1][-1] = [0, F(1, 2)]
     with pytest.raises(TypeError, match="int coefficients"):
         unipoly.det(m)
+    # with bounds passed the Kronecker path reads no l1 norms
+    for entry in ([0, F(1, 2)], [F(1, 2), 1], [1.0]):
+        m[-1][-1] = entry
+        with pytest.raises(TypeError):
+            unipoly.det(m, 1, 1)
 
 
 @SETTINGS
