@@ -16,11 +16,7 @@ from fractions import Fraction
 
 from . import linalg, unipoly
 from .errors import DegenerateBasis, InternalError, ZeroForm
-from .partitions import json_int, ramification_partition
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .partitions import _rational, json_int, ramification_partition, signed_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,7 +27,10 @@ class BinaryForm:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, degree: int, coeffs):
-        coeffs = tuple(_frac(c) for c in coeffs)
+        coeffs = tuple(
+            c if type(c) is Fraction else Fraction(c) if type(c) is int else _rational(c, "coefficient")
+            for c in coeffs
+        )
         if len(coeffs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
         object.__setattr__(self, "degree", degree)
@@ -40,11 +39,6 @@ class BinaryForm:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def monomials(self) -> dict:
-        return {
-            (self.degree - k, k): c for k, c in enumerate(self.coeffs) if c != 0
-        }
 
     def normalized(self) -> "BinaryForm":
         """Scale so the first nonzero coefficient (highest x-power) is 1."""
@@ -58,8 +52,6 @@ class BinaryForm:
         return unipoly.trim([self.coeffs[self.degree - i] for i in range(self.degree + 1)])
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
@@ -79,10 +71,7 @@ class BinaryForm:
                 parts.append(f"-{mono}")
             else:
                 parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"BinaryForm({self.degree}, {self!s})"
@@ -92,7 +81,7 @@ class BinaryForm:
 
     @classmethod
     def from_json(cls, data) -> "BinaryForm":
-        return cls(json_int(data["degree"], "degree"), [Fraction(c) for c in data["coeffs"]])
+        return cls(json_int(data["degree"], "degree"), data["coeffs"])
 
 
 @dataclass(frozen=True)
@@ -104,7 +93,7 @@ class PointP1:
     b: Fraction
 
     def __init__(self, a, b):
-        a, b = _frac(a), _frac(b)
+        a, b = _rational(a, "point coordinate"), _rational(b, "point coordinate")
         if a == 0 and b == 0:
             raise ValueError("point needs a nonzero linear form")
         if a != 0:
@@ -123,7 +112,7 @@ class PointP1:
     @classmethod
     def parse(cls, text: str) -> "PointP1":
         a, b = text.split(",")
-        return cls(Fraction(a), Fraction(b))
+        return cls(a, b)
 
     def __str__(self):
         return f"{self.a},{self.b}"
@@ -168,12 +157,12 @@ class FormSpace:
     @staticmethod
     def _row(degree, f):
         """The coefficients of a form or coefficient row, each an integer or
-        a Fraction."""
+        a Fraction; any other entry is read by ``_rational``."""
         if isinstance(f, BinaryForm):
             if f.degree != degree:
                 raise ValueError("mixed degrees in form space")
             return f.coeffs
-        row = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in f]
+        row = [c if type(c) is int or type(c) is Fraction else _rational(c, "coefficient") for c in f]
         if len(row) != degree + 1:
             raise ValueError("coefficient row has wrong length")
         return row
@@ -231,7 +220,7 @@ class FormSpace:
     @classmethod
     def from_json(cls, data) -> "FormSpace":
         degree = json_int(data["degree"], "degree")
-        return cls(degree, [[Fraction(c) for c in row] for row in data["basis"]])
+        return cls(degree, data["basis"])
 
 
 @dataclass(frozen=True)

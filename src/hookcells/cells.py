@@ -19,7 +19,9 @@ from fractions import Fraction
 from . import linalg
 from .binforms import BinaryForm, FormSpace, PointP1, POINT_X, change_basis, ram_data
 from .errors import InconsistentParams, InternalError, InvalidT, NotAnIdeal, NotInBigCell
-from .partitions import HilbertFunction, Partition, as_hilbert, hooks, ramification_partition, t_invariants
+from .partitions import (
+    HilbertFunction, Partition, _rational, as_hilbert, hooks, ramification_partition, t_invariants,
+)
 
 Monomial = tuple[int, int]
 
@@ -166,12 +168,12 @@ class CellParams:
             raise InconsistentParams(
                 f"values keyed by {sorted(values)} but S(E) is {sorted(pairs)}"
             )
-        for (mu, nu), v in values.items():
-            if isinstance(v, (float, bool)):
-                raise InconsistentParams(
-                    f"value {v!r} of pair ({mono_str(mu)}, {mono_str(nu)}) is not an exact rational"
-                )
-        values = {k: Fraction(v) for k, v in values.items()}
+        values = {
+            (mu, nu): _rational(
+                v, f"value of pair ({mono_str(mu)}, {mono_str(nu)})", InconsistentParams
+            )
+            for (mu, nu), v in values.items()
+        }
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "values", values)
 
@@ -436,36 +438,23 @@ def small_grass_coords(ideal: GradedIdeal) -> tuple[SmallGrassChart, ...]:
         ambient = sorted(shifted - u_set, key=mono_key)
         hands = sorted((m for m in ambient if not E0.contains(m)), key=lambda m: -m[0])
         others = [m for m in ambient if E0.contains(m)]
-        # vectors of the degree-i piece supported on `shifted`; a monomial's
-        # column in a coefficient row is its y-power
-        rows = ideal.pieces[i].rows
+        # one echelon form of the degree-i piece, the monomials outside
+        # `shifted` taking priority: the rows that pivot past them span its
+        # vectors supported on `shifted`.  Those pivoting in u_set vanish on
+        # the quotient, and the rest must pivot on `others`.  A monomial's
+        # column in a coefficient row is its y-power.
         outside = [yp for yp in range(i + 1) if (i - yp, yp) not in shifted]
-        if outside:
-            constraints = [[row[c] for row in rows] for c in outside]
-            kernel = linalg.nullspace(constraints, len(rows))
-        else:
-            kernel = [[Fraction(s == r) for r in range(len(rows))] for s in range(len(rows))]
-        section = [
-            [sum(combo[r] * rows[r][m[1]] for r in range(len(rows))) for m in ambient]
-            for combo in kernel
-        ]
-        # taking only the `ambient` coordinates quotients out u_set
-        order = [ambient.index(m) for m in others] + [ambient.index(m) for m in hands]
-        red, piv = linalg.rref(section, len(ambient), col_order=order)
-        if piv != [ambient.index(m) for m in others]:
+        order = outside + [m[1] for m in others + hands] + [m[1] for m in u_set]
+        red, piv = linalg.rref(ideal.pieces[i].rows, i + 1, col_order=order)
+        rows = {(i - p, p): row for row, p in zip(red, piv) if (i - p, p) in ambient}
+        if list(rows) != others:
             raise NotInBigCell(f"degree-{i} chart is degenerate")
-        matrix = []
-        for h in hands:
-            hidx = ambient.index(h)
-            row = []
-            for m in ambient:
-                if m == h:
-                    row.append(Fraction(1))
-                elif m in hands:
-                    row.append(Fraction(0))
-                else:
-                    k = piv.index(ambient.index(m))
-                    row.append(Fraction(-red[k][hidx], red[k][piv[k]]))
-            matrix.append(tuple(row))
+        matrix = tuple(
+            tuple(
+                Fraction(-rows[m][h[1]], rows[m][m[1]]) if m in rows else Fraction(int(m == h))
+                for m in ambient
+            )
+            for h in hands
+        )
         charts.append(SmallGrassChart(i, tuple(hands), tuple(ambient), tuple(matrix)))
     return tuple(charts)

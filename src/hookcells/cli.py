@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from itertools import groupby
 
 from . import binforms, cells, hookcode, partitions, schubert, secant
@@ -52,7 +51,7 @@ def _typed(parse, expected):
     def convert(text):
         try:
             return parse(text)
-        except (ValueError, TypeError, ZeroDivisionError):
+        except (ValueError, TypeError):
             raise argparse.ArgumentTypeError(f"invalid {text!r}: expected {expected}") from None
 
     return {"type": convert, "help": expected}
@@ -70,7 +69,7 @@ def _load_json(path, parse):
         raise InputFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
     try:
         return parse(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise InputFileError(f"{path}: {reason}") from None
 
@@ -80,7 +79,7 @@ def _conditions(data):
 
 
 def _hankel_coeffs(data):
-    coeffs = [Fraction(c) for c in data["coeffs"]]
+    coeffs = [partitions._rational(c, "coefficient") for c in data["coeffs"]]
     if not data.get("scaled", True):
         form = binforms.BinaryForm(len(coeffs) - 1, coeffs)
         coeffs = list(secant.scaled_coefficients(form))

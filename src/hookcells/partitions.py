@@ -14,8 +14,10 @@ arm - leg = 1 index the free parameters of the cells studied in
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidT, NonAdmissible
@@ -40,6 +42,33 @@ def _index(value, what: str, error=ValueError) -> int:
         except TypeError:
             pass
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _rational(value, what: str, error=ValueError) -> Fraction:
+    """``value`` as an exact ``Fraction`` when it is an integer other than a
+    boolean, another rational number or a string such as ``"-3/4"``;
+    ``error`` naming ``what`` when it is a float (NaN and infinities too), a
+    boolean, a zero denominator or anything else without an exact rational
+    value, which ``Fraction()`` would coerce or fail on with its own error."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise error(f"{what} must be an exact rational, got {value!r}")
+
+
+def signed_sum(terms) -> str:
+    """Printed terms joined into a sum, a term's leading minus sign read as a
+    subtraction: ``["x", "-2*y", "3"]`` gives ``"x - 2*y + 3"``; ``"0"`` when
+    there is none."""
+    if not terms:
+        return "0"
+    return terms[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in terms[1:])
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,10 +254,6 @@ class HilbertFunction:
     def from_json(cls, data) -> "HilbertFunction":
         return cls(json_int(v, "Hilbert function value") for v in data)
 
-    @classmethod
-    def parse(cls, text: str) -> "HilbertFunction":
-        return cls(int(x) for x in text.split(",") if x.strip())
-
 
 def as_hilbert(T) -> "HilbertFunction":
     """Coerce a sequence to a validated Hilbert function."""
@@ -314,7 +339,8 @@ def enumerate_with_diagonal_lengths(T) -> tuple[Partition, ...]:
 
     Rows are chosen top-down; once row ``r`` is fixed, every anti-diagonal
     below ``r`` is complete and must already match ``T``, which prunes hard.
-    Output is in descending lexicographic order on the parts.
+    Each row tries its lengths from the largest down, so the depth-first
+    search emits the shapes in descending lexicographic order on the parts.
     """
     T = as_hilbert(T)
     if not T.t:
@@ -345,7 +371,7 @@ def enumerate_with_diagonal_lengths(T) -> tuple[Partition, ...]:
                 counts[r + c] -= 1
 
     rec(0, j + 1, T.n)
-    return tuple(sorted(out, key=lambda p: p.parts, reverse=True))
+    return tuple(out)
 
 
 def hilbert_functions_upto(max_n: int) -> tuple[HilbertFunction, ...]:

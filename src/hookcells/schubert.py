@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BoxMismatch, DimensionMismatch, MalformedE, ShapeMismatch
-from .partitions import _index, json_int, ramification_partition
+from .partitions import _index, json_int, ramification_partition, signed_sum
 
 
 def _norm_partition(parts) -> tuple[int, ...]:
@@ -118,13 +118,9 @@ class Combination:
         return self + (-other)
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        bits = [self._monomial(k) if c == 1 else f"{c}*{self._monomial(k)}" for k, c in self.terms]
-        out = bits[0]
-        for t in bits[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return signed_sum(
+            [self._monomial(k) if c == 1 else f"{c}*{self._monomial(k)}" for k, c in self.terms]
+        )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from math import comb
 from . import linalg, unipoly
 from .binforms import BinaryForm
 from .errors import OutOfRange, ZeroForm
-from .partitions import as_hilbert, json_int
+from .partitions import _rational, as_hilbert, json_int
 from .schubert import Combination, grass_degree
 
 
@@ -207,7 +207,7 @@ def hankel_matrix(coeffs, mu: int):
     Any window 0 <= mu <= j is allowed so ranks can be compared across
     window shapes; the secant interpretation needs 2*mu < j + 1.
     """
-    a = [Fraction(x) for x in coeffs]
+    a = [_rational(x, "coefficient") for x in coeffs]
     j = len(a) - 1
     if not 0 <= mu <= j:
         raise OutOfRange(f"need 0 <= mu <= j, got mu={mu}, j={j}")
@@ -221,10 +221,9 @@ def hankel_rank(coeffs, mu: int) -> int:
     sum_i C(j, i) a_i x^(j-i) y^i.  The rank is at most ``i`` exactly when
     the form is a sum of ``i`` powers of linear forms (or a limit of such).
     """
-    a = [Fraction(x) for x in coeffs]
-    if all(x == 0 for x in a):
+    m = hankel_matrix(coeffs, mu)
+    if not any(map(any, m)):
         raise ZeroForm("Hankel rank of the zero form")
-    m = hankel_matrix(a, mu)
     return linalg.rank(m, len(m[0]))
 
 

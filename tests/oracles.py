@@ -14,8 +14,9 @@ the paths they check.
 
 Two cross-checks that the library leaves to the tests live here too: the
 Wronskian dehomogenized at x = 1 as well as at y = 1, and the
-complement-dual identity between the two ramification partitions.  So does
-``from_monomials``, which writes a form from a dict of monomials.
+complement-dual identity between the two ramification partitions.  So do
+``from_monomials``, which writes a form from a dict of monomials, and
+``monomials``, which reads that dict back.
 """
 
 import math
@@ -176,6 +177,11 @@ def from_monomials(degree, terms):
     return BinaryForm(degree, coeffs)
 
 
+def monomials(form):
+    """The dict ``{(xp, yp): c}`` of the nonzero terms c x^xp y^yp of ``form``."""
+    return {(form.degree - k, k): c for k, c in enumerate(form.coeffs) if c != 0}
+
+
 def rational_roots(p):
     """Rational roots with multiplicities: every candidate a/b of the
     rational root theorem is evaluated in Fractions, none skipped."""
@@ -240,7 +246,7 @@ def change_basis(space, p, c_form=None):
     rows = []
     for f in space.basis:
         acc = [Fraction(0)] * (j + 1)
-        for (xp, yp), coef in f.monomials().items():
+        for (xp, yp), coef in monomials(f).items():
             for k1, c1 in enumerate(pow_coeffs(x_lc, xp)):
                 for k2, c2 in enumerate(pow_coeffs(y_lc, yp)):
                     acc[k1 + k2] += coef * c1 * c2

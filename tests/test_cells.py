@@ -95,7 +95,7 @@ def test_build_ideal_hand_example():
     I = build_ideal(CellParams(E, {(mu, nu): F(3)}))
     f = next(g for g in I.generators if g.degree == 2 and g.coeffs[2] == 1)
     # f(y^2) = y^2 - 3*xy
-    assert f.monomials() == {(0, 2): F(1), (1, 1): F(-3)}
+    assert oracles.monomials(f) == {(0, 2): F(1), (1, 1): F(-3)}
     assert I.hilbert_function.t == (1, 2, 1)
 
 
@@ -105,7 +105,7 @@ def test_build_ideal_zero_params_is_monomial():
             E = MonomialIdeal(p)
             I = build_ideal(CellParams.zeros(E))
             for g in I.generators:
-                assert len(g.monomials()) == 1
+                assert len(oracles.monomials(g)) == 1
             assert initial_ideal(I) == E
 
 
@@ -114,16 +114,16 @@ def test_build_ideal_reproduces_table_cell():
     E = ideal_of([5, 2, 1, 1])
     a, b = F(7), F(-4)
     I = build_ideal(CellParams(E, {((0, 4), (4, 0)): -a, ((3, 1), (4, 0)): -b}))
-    by_mono = {frozenset(g.monomials()): g for g in I.generators}
+    by_mono = {frozenset(oracles.monomials(g)): g for g in I.generators}
     p2 = by_mono[frozenset({(0, 4), (4, 0)})]
-    assert p2.monomials() == {(0, 4): F(1), (4, 0): a}  # y^4 + a x^4
+    assert oracles.monomials(p2) == {(0, 4): F(1), (4, 0): a}  # y^4 + a x^4
     p1 = by_mono[frozenset({(3, 1), (4, 0)})]
-    assert p1.monomials() == {(3, 1): F(1), (4, 0): b}  # x^3 y + b x^4
+    assert oracles.monomials(p1) == {(3, 1): F(1), (4, 0): b}  # x^3 y + b x^4
     # forced tails: f = x^2 y + b x^3 and g = x y^2 - b^2 x^3
     f = by_mono[frozenset({(2, 1), (3, 0)})] if frozenset({(2, 1), (3, 0)}) in by_mono else None
-    assert f is not None and f.monomials() == {(2, 1): F(1), (3, 0): b}
+    assert f is not None and oracles.monomials(f) == {(2, 1): F(1), (3, 0): b}
     g = by_mono[frozenset({(1, 2), (3, 0)})]
-    assert g.monomials() == {(1, 2): F(1), (3, 0): -b * b}
+    assert oracles.monomials(g) == {(1, 2): F(1), (3, 0): -b * b}
 
 
 def test_generators_lead_with_the_beta_chain():
@@ -134,8 +134,8 @@ def test_generators_lead_with_the_beta_chain():
         betas = E.betas()
         assert len(I.generators) == len(betas)
         for g, beta in zip(I.generators, betas):
-            lead = min(g.monomials(), key=lambda m: (m[0] + m[1], m[0]))
-            assert lead == beta and g.monomials()[lead] == 1
+            lead = min(oracles.monomials(g), key=lambda m: (m[0] + m[1], m[0]))
+            assert lead == beta and oracles.monomials(g)[lead] == 1
 
 
 def test_params_must_match_pair_set():
@@ -269,8 +269,7 @@ def test_small_grass_coords_origin():
 
 def test_small_grass_coords_reads_off_parameters():
     rng = random.Random(0x4242)
-    for tt in ([1, 2, 1], [1, 2, 3, 2, 1], [1, 2, 2, 2, 1]):
-        T = HilbertFunction(tt)
+    for T in hilbert_functions_upto(10):
         E0 = big_cell(T)
         params = random_params(rng, E0)
         charts = small_grass_coords(build_ideal(params))

@@ -2,6 +2,7 @@
 error (exit 1), never in a traceback."""
 
 import json
+import math
 
 import pytest
 
@@ -54,6 +55,15 @@ PARAMS_22 = {"partition": [2, 2], "params": [{"mu": "x^0 y^2", "nu": "x^1 y^1", 
     (FILE_COMMANDS[0], {"degree": 1e300, "basis": []}),
     (FILE_COMMANDS[1], {"degree": 1e300, "basis": []}),
     (FILE_COMMANDS[2], {**PARAMS_22, "partition": [2.7, 2]}),
+] + [
+    # a float, true, Infinity or NaN where a rational belongs
+    (argv, payload)
+    for value in (0.5, True, math.inf, math.nan)
+    for argv, payload in [
+        (FILE_COMMANDS[0], {"degree": 1, "basis": [[1, value]]}),
+        (FILE_COMMANDS[1], {"degree": 1, "basis": [[1, value]]}),
+        (FILE_COMMANDS[4], {"coeffs": [1, value, 1]}),
+    ]
 ], ids=lambda v: v[0] if isinstance(v, tuple) else None)
 def test_malformed_payload_is_a_domain_error(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"

@@ -1,10 +1,13 @@
 """One implementation per concept: box partitions, box complements, the
-q-binomial recurrence, the hook-code invariant checks and the integer check
-of the JSON readers."""
+q-binomial recurrence, the hook-code invariant checks, the integer check
+of the JSON readers and the exact-rational check of every rational input."""
 
 import os
+import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,16 +17,20 @@ from hookcells import (
     BinaryForm,
     BoxSequence,
     BundleClass,
+    CellParams,
     FormSpace,
     HilbertFunction,
     HookCode,
+    MonomialIdeal,
     Partition,
+    PointP1,
     SchubertClass,
     all_codes,
     complement,
+    hankel_rank,
     hookcode,
 )
-from hookcells.errors import InternalError
+from hookcells.errors import InconsistentParams, InternalError
 from hookcells.partitions import box_complement, box_partitions
 
 
@@ -139,3 +146,26 @@ def test_json_readers_refuse_non_integers(reader, good, bad):
     for payload in bad:
         with pytest.raises(ValueError, match="must be an integer"):
             reader(payload)
+
+
+# each reader with the error class it raises, taking one rational value
+RATIONAL_READERS = {
+    "BinaryForm": (lambda v: BinaryForm(1, [1, v]), ValueError),
+    "FormSpace": (lambda v: FormSpace(1, [[1, v]]), ValueError),
+    "PointP1": (lambda v: PointP1(1, v), ValueError),
+    "CellParams": (
+        lambda v: CellParams(MonomialIdeal(Partition([2, 2])), {((0, 2), (1, 1)): v}),
+        InconsistentParams,
+    ),
+    "hankel_rank": (lambda v: hankel_rank([1, v, 1], 1), ValueError),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, True, Decimal("0.5"), "1/0"], ids=repr)
+@pytest.mark.parametrize("name", RATIONAL_READERS)
+def test_rational_readers_refuse_inexact_values(name, bad):
+    reader, error = RATIONAL_READERS[name]
+    for good in (-3, Fraction(-3, 4), "-3/4"):
+        reader(good)
+    with pytest.raises(error, match=f"must be an exact rational, got {re.escape(repr(bad))}$"):
+        reader(bad)
