@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg, unipoly
 from .errors import DegenerateBasis, InternalError, ZeroForm
-from .partitions import _rational, json_int, ramification_partition, signed_sum
+from .partitions import _index, _list, _rational, ramification_partition, signed_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +81,7 @@ class BinaryForm:
 
     @classmethod
     def from_json(cls, data) -> "BinaryForm":
-        return cls(json_int(data["degree"], "degree"), data["coeffs"])
+        return cls(_index(data["degree"], "degree"), _list(data["coeffs"], "coeffs"))
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,8 @@ class FormSpace:
 
     @classmethod
     def from_json(cls, data) -> "FormSpace":
-        degree = json_int(data["degree"], "degree")
-        return cls(degree, data["basis"])
+        degree = _index(data["degree"], "degree")
+        return cls(degree, [_list(row, "basis row") for row in _list(data["basis"], "basis")])
 
 
 @dataclass(frozen=True)
@@ -270,22 +270,17 @@ def change_basis(space: FormSpace, p: PointP1) -> FormSpace:
     j = space.degree
     y_pows = [[1]]
     for _ in range(j):
-        y_pows.append(_times_linear(y_pows[-1], yu, yv))
+        y_pows.append(unipoly.mul_linear(y_pows[-1], yu, yv))
     rows = []
     for coeffs in space.rows:
         # homogeneous Horner: acc <- acc * x + c_k y^k
         acc = [coeffs[0]]
         for k in range(1, j + 1):
-            acc = _times_linear(acc, xu, xv)
+            acc = unipoly.mul_linear(acc, xu, xv)
             if coeffs[k]:
                 acc = [s + coeffs[k] * t for s, t in zip(acc, y_pows[k])]
         rows.append(acc)
     return FormSpace(j, rows)
-
-
-def _times_linear(g, u, v):
-    """The form g (coefficients on L^(n-k) C^k) times u*L + v*C."""
-    return [u * g[0]] + [u * g[i] + v * g[i - 1] for i in range(1, len(g))] + [v * g[-1]]
 
 
 def initial_space(space: FormSpace, p: PointP1) -> tuple[tuple[int, int], ...]:

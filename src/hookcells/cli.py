@@ -36,9 +36,7 @@ def _partition(text):
 
 
 def _int_lists(qs):
-    if not all(isinstance(q, list) for q in qs):
-        raise ValueError(f"expected lists of integers, got {qs}")
-    return [[partitions.json_int(v, "entry") for v in q] for q in qs]
+    return [[partitions._index(v, "entry") for v in partitions._list(q, "item")] for q in qs]
 
 
 def _code(text):
@@ -79,7 +77,7 @@ def _conditions(data):
 
 
 def _hankel_coeffs(data):
-    coeffs = [partitions._rational(c, "coefficient") for c in data["coeffs"]]
+    coeffs = [partitions._rational(c, "coefficient") for c in partitions._list(data["coeffs"], "coeffs")]
     if not data.get("scaled", True):
         form = binforms.BinaryForm(len(coeffs) - 1, coeffs)
         coeffs = list(secant.scaled_coefficients(form))

@@ -21,12 +21,12 @@ from .errors import InternalError, NotFound
 from .partitions import (
     HilbertFunction,
     Partition,
+    _index,
     as_hilbert,
     box_complement,
     box_partitions,
     enumerate_with_diagonal_lengths,
     hooks,
-    json_int,
 )
 
 
@@ -80,8 +80,8 @@ class HookCode:
     @classmethod
     def from_json(cls, data) -> "HookCode":
         return cls(
-            json_int(data["mu"], "mu"), json_int(data["j"], "j"),
-            tuple(tuple(json_int(v, "code entry") for v in q) for q in data["qs"]),
+            _index(data["mu"], "mu"), _index(data["j"], "j"),
+            tuple(tuple(_index(v, "code entry") for v in q) for q in data["qs"]),
         )
 
 
@@ -156,13 +156,7 @@ def all_codes(T) -> tuple[HookCode, ...]:
 def _gaussian(n: int, k: int) -> tuple[int, ...]:
     if k in (0, n):
         return (1,)
-    left, right = _gaussian(n - 1, k - 1), _gaussian(n - 1, k)
-    out = [0] * max(len(left), k + len(right))
-    for i, v in enumerate(left):
-        out[i] += v
-    for i, v in enumerate(right):
-        out[k + i] += v
-    return tuple(out)
+    return tuple(unipoly.add(_gaussian(n - 1, k - 1), [0] * k + list(_gaussian(n - 1, k))))
 
 
 def gaussian_binomial(a: int, b: int) -> tuple[int, ...]:

@@ -23,15 +23,6 @@ from functools import lru_cache
 from .errors import InvalidT, NonAdmissible
 
 
-def json_int(value, what: str) -> int:
-    """``value`` when it is an integer; a ValueError naming ``what`` when it is
-    a float, a string, a boolean or anything else, which a JSON reader would
-    otherwise truncate or coerce."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _index(value, what: str, error=ValueError) -> int:
     """``value`` as an integer through ``operator.index``; ``error`` naming
     ``what`` when it is a boolean, a float or anything else without an exact
@@ -44,17 +35,27 @@ def _index(value, what: str, error=ValueError) -> int:
     raise error(f"{what} must be an integer, got {value!r}")
 
 
+def _list(value, what: str) -> list:
+    """``value`` when it is a list; a ValueError naming ``what`` otherwise,
+    so that a string is never read character by character."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _rational(value, what: str, error=ValueError) -> Fraction:
     """``value`` as an exact ``Fraction`` when it is an integer other than a
-    boolean, another rational number or a string such as ``"-3/4"``;
-    ``error`` naming ``what`` when it is a float (NaN and infinities too), a
-    boolean, a zero denominator or anything else without an exact rational
-    value, which ``Fraction()`` would coerce or fail on with its own error."""
+    boolean, another rational number or a string such as ``"-3/4"`` or
+    ``"0.25"``; ``error`` naming ``what`` when it is a float (NaN and
+    infinities too), a boolean, a zero denominator, a string in exponent
+    notation (where a few characters such as ``"1e4000000"`` name a huge
+    integer) or anything else without an exact rational value, which
+    ``Fraction()`` would coerce or fail on with its own error."""
     if type(value) is Fraction:
         return value
     if isinstance(value, numbers.Rational) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and "e" not in value.lower():
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -139,7 +140,7 @@ class Partition:
 
     @classmethod
     def from_json(cls, data) -> "Partition":
-        return cls(json_int(v, "part") for v in data)
+        return cls(_index(v, "part") for v in data)
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,7 @@ class HilbertFunction:
 
     @classmethod
     def from_json(cls, data) -> "HilbertFunction":
-        return cls(json_int(v, "Hilbert function value") for v in data)
+        return cls(_index(v, "Hilbert function value") for v in data)
 
 
 def as_hilbert(T) -> "HilbertFunction":

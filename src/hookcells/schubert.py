@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BoxMismatch, DimensionMismatch, MalformedE, ShapeMismatch
-from .partitions import _index, json_int, ramification_partition, signed_sum
+from .partitions import _index, ramification_partition, signed_sum
 
 
 def _norm_partition(parts) -> tuple[int, ...]:
@@ -179,9 +179,9 @@ class SchubertClass(Combination):
     @classmethod
     def from_json(cls, data) -> "SchubertClass":
         return cls.make(
-            tuple(json_int(v, "box size") for v in data["box"]),
+            tuple(_index(v, "box size") for v in data["box"]),
             {
-                tuple(json_int(v, "part") for v in t["partition"]): json_int(t["coeff"], "coeff")
+                tuple(_index(v, "part") for v in t["partition"]): _index(t["coeff"], "coeff")
                 for t in data["terms"]
             },
         )

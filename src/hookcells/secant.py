@@ -20,7 +20,7 @@ from math import comb
 from . import linalg, unipoly
 from .binforms import BinaryForm
 from .errors import OutOfRange, ZeroForm
-from .partitions import _rational, as_hilbert, json_int
+from .partitions import _index, _rational, as_hilbert
 from .schubert import Combination, grass_degree
 
 
@@ -67,9 +67,9 @@ class BundleClass(Combination):
     @classmethod
     def from_json(cls, data) -> "BundleClass":
         return cls.make(
-            json_int(data["mu"], "mu"), json_int(data["j"], "j"),
+            _index(data["mu"], "mu"), _index(data["j"], "j"),
             {
-                (json_int(t["a"], "a"), json_int(t["b"], "b")): json_int(t["coeff"], "coeff")
+                (_index(t["a"], "a"), _index(t["b"], "b")): _index(t["coeff"], "coeff")
                 for t in data["terms"]
             },
         )

@@ -47,6 +47,11 @@ def add(p, q):
     return trim(out)
 
 
+def mul_linear(g, u, v):
+    """``g`` times ``u + v x``, untrimmed: one coefficient longer than ``g``."""
+    return [u * g[0]] + [u * g[i] + v * g[i - 1] for i in range(1, len(g))] + [v * g[-1]]
+
+
 def mul(p, q):
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -86,9 +91,20 @@ def det(matrix, degree=None, height=None):
     return _det_interpolated(matrix, degree)
 
 
-def _checked(values):
-    if any(type(v) is not int for row in values for v in row):
-        raise TypeError("det needs polynomial entries with int coefficients")
+def _at(matrix, x):
+    """The matrix of the entries' values at the integer ``x``, each by
+    Horner; ``TypeError`` when a coefficient is not an ``int``."""
+    values = []
+    for row in matrix:
+        vrow = []
+        for e in row:
+            acc = 0
+            for c in reversed(e):
+                if type(c) is not int:
+                    raise TypeError("det needs polynomial entries with int coefficients")
+                acc = acc * x + c
+            vrow.append(acc)
+        values.append(vrow)
     return values
 
 
@@ -98,19 +114,10 @@ def _det_kronecker(matrix, height=None):
     ``height``, so every digit is exact.  The generic height is the smaller
     product of the row (or column) sums of the entries' l1 norms."""
     if height is None:
-        norms = _checked([[sum(map(abs, e)) for e in row] for row in matrix])
+        norms = _at([[list(map(abs, e)) for e in row] for row in matrix], 1)
         height = min(math.prod(map(sum, norms)), math.prod(map(sum, zip(*norms))))
     bits = height.bit_length() + 1
-    values = []
-    for row in matrix:
-        vrow = []
-        for e in row:
-            acc = 0
-            for c in reversed(e):
-                acc = (acc << bits) + c
-            vrow.append(acc)
-        values.append(vrow)
-    v = _laplace(_checked(values))
+    v = _laplace(_at(matrix, 1 << bits))
     out = []
     mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
     while v:
@@ -156,18 +163,7 @@ def _det_interpolated(matrix, deg=None):
         lens = [[len(e) for e in row] for row in matrix]
         deg = min(sum(map(max, lens)), sum(map(max, zip(*lens)))) - len(matrix)
     x0 = -(deg // 2)
-    ys = []
-    for x in range(x0, x0 + deg + 1):
-        values = []
-        for row in matrix:
-            vrow = []
-            for e in row:
-                acc = 0
-                for c in reversed(e):
-                    acc = acc * x + c
-                vrow.append(acc)
-            values.append(vrow)
-        ys.append(_bareiss(_checked(values)))
+    ys = [_bareiss(_at(matrix, x)) for x in range(x0, x0 + deg + 1)]
     # Newton coefficients a_k = Delta^k y_0 / k!, integers because the
     # determinant has integer coefficients
     newton, fact = [], 1
@@ -182,8 +178,8 @@ def _det_interpolated(matrix, deg=None):
     # sum of a_k (x - x0)(x - x0 - 1)...(x - x0 - k + 1), by Horner from the top
     out = [newton[-1]]
     for k in range(deg - 1, -1, -1):
-        t = x0 + k
-        out = [newton[k] - t * out[0]] + [out[i - 1] - t * out[i] for i in range(1, len(out))] + [out[-1]]
+        out = mul_linear(out, -(x0 + k), 1)
+        out[0] += newton[k]
     return trim(out)
 
 
@@ -277,38 +273,28 @@ def _divides(m, n):
     return n % m == 0 if m else n == 0
 
 
-def _value(ip, a, b):
-    """``b^n ip(a/b)`` for an integer polynomial ``ip`` of degree n: the
-    integer sum of ``c_i a^i b^(n-i)``, zero exactly when a/b is a root."""
-    acc, bp = 0, 1
-    for c in reversed(ip):
-        acc = acc * a + c * bp
-        bp *= b
-    return acc
-
-
 def _deflate(ip, a, b):
-    """Exact integer quotient of ``ip`` by ``b x - a``; a/b must be a root."""
+    """Exact integer quotient of ``ip`` by ``b x - a``, or None when the
+    division is not exact.  By Gauss's lemma, for a/b in lowest terms that
+    is exactly when a/b is not a root."""
     n = len(ip) - 1
     quo = [0] * n
     carry = 0  # g_(k-1) = (c_k + a g_k) / b, from the top down
     for k in range(n, 0, -1):
         carry, rem = divmod(ip[k] + a * carry, b)
         if rem:
-            raise InternalError(f"{a}/{b} is not a root: inexact deflation of {ip}")
+            return None
         quo[k - 1] = carry
-    if ip[0] != -a * quo[0]:
-        raise InternalError(f"{a}/{b} is not a root: nonzero remainder deflating {ip}")
-    return quo
+    return quo if ip[0] == -a * quo[0] else None
 
 
 def root_multiplicity(ip, a, b):
     """Multiplicity of the root a/b (b > 0, a/b in lowest terms) of the
-    integer polynomial ``ip``, and the cofactor left after removing it."""
+    integer polynomial ``ip``, and the cofactor left after removing it: the
+    number of times ``b x - a`` divides ``ip`` exactly, and the quotient."""
     mult = 0
-    while len(ip) > 1 and _value(ip, a, b) == 0:
-        ip = _deflate(ip, a, b)
-        mult += 1
+    while len(ip) > 1 and (quo := _deflate(ip, a, b)) is not None:
+        ip, mult = quo, mult + 1
     return mult, ip
 
 
@@ -319,20 +305,18 @@ def rational_roots(p):
     primitive integer model of ``p``.  A root a/b makes ``b x - a`` an
     integer factor, so ``b - a`` divides ``p(1)`` and ``b + a`` divides
     ``p(-1)``; candidates failing either test are skipped, and the others are
-    tested with the exact integer value ``b^n p(a/b)``.  Multiplicities come
-    from repeated exact integer deflation.
+    tested, with their multiplicities, by repeated exact division by
+    ``b x - a`` (``root_multiplicity``).  The root 0 comes first, then the
+    others in increasing order.
     """
     p = trim(p)
     if is_zero(p):
         raise ZeroForm("the zero polynomial has every root")
     ip = integer_model(p)
-    roots = {}
-    k = 0
-    while ip[k] == 0:
-        k += 1
-    if k:
-        roots[Fraction(0)] = k
-        ip = ip[k:]
+    # the root 0 by counting leading zeros, one pass, where k deflations by x
+    # would take k passes (measurably slower on Wronskians vanishing at x = 0)
+    k = next(i for i, c in enumerate(ip) if c)
+    roots, ip = ({Fraction(0): k} if k else {}), ip[k:]
     if len(ip) == 1:
         return roots
     at_one, at_minus_one = sum(ip), sum(ip[::2]) - sum(ip[1::2])
@@ -351,6 +335,5 @@ def rational_roots(p):
                 if mult:
                     found[Fraction(a, b)] = mult
                     at_one, at_minus_one = sum(ip), sum(ip[::2]) - sum(ip[1::2])
-    for r in sorted(found):
-        roots[r] = found[r]
+    roots.update(sorted(found.items()))
     return roots

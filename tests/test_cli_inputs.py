@@ -55,6 +55,11 @@ PARAMS_22 = {"partition": [2, 2], "params": [{"mu": "x^0 y^2", "nu": "x^1 y^1", 
     (FILE_COMMANDS[0], {"degree": 1e300, "basis": []}),
     (FILE_COMMANDS[1], {"degree": 1e300, "basis": []}),
     (FILE_COMMANDS[2], {**PARAMS_22, "partition": [2.7, 2]}),
+    # a string where a list belongs, never read character by character
+    (FILE_COMMANDS[0], {"degree": 1, "basis": ["10"]}),
+    (FILE_COMMANDS[1], {"degree": 1, "basis": "10"}),
+    (FILE_COMMANDS[4], {"coeffs": "123"}),
+    (FILE_COMMANDS[4], {"coeffs": ["1e4000000", "1"]}),
 ] + [
     # a float, true, Infinity or NaN where a rational belongs
     (argv, payload)

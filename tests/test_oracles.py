@@ -176,15 +176,23 @@ def test_det_matches_laplace_oracle(case):
 
 @pytest.mark.parametrize("n", [1, unipoly.KRONECKER_MAX + 1])
 def test_det_refuses_non_integer_coefficients(n):
+    # n = 1 takes the Kronecker path, n = 8 the evaluation path; with bounds
+    # passed the Kronecker path reads no l1 norms, and a height above 2^1024
+    # makes x = 2^B too large for a float
     m = [[[1] if r == c else [0] for c in range(n)] for r in range(n)]
-    m[-1][-1] = [0, F(1, 2)]
-    with pytest.raises(TypeError, match="int coefficients"):
-        unipoly.det(m)
-    # with bounds passed the Kronecker path reads no l1 norms
-    for entry in ([0, F(1, 2)], [F(1, 2), 1], [1.0]):
+    for entry in ([0, F(1, 2)], [F(1, 2), 1], [F(2)], [1.0], [0, 1, 0.5]):
         m[-1][-1] = entry
-        with pytest.raises(TypeError):
-            unipoly.det(m, 1, 1)
+        for bounds in ((), (2, 1), (2, 1 << 2000)):
+            with pytest.raises(TypeError, match="int coefficients"):
+                unipoly.det(m, *bounds)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(st.integers(-9, 9), small), min_size=1, max_size=8), small, small)
+def test_mul_linear_matches_mul(g, u, v):
+    got = unipoly.mul_linear(g, u, v)
+    assert len(got) == len(g) + 1  # untrimmed, as change_basis needs
+    assert unipoly.trim(got) == unipoly.mul(g, [u, v])
 
 
 @SETTINGS
@@ -236,6 +244,31 @@ def test_rational_roots_of_known_factors(case):
         assert point_valuation(form, PointP1(1, -r)) == m
     for pt in (POINT_X, POINT_Y, PointP1(1, 7), PointP1(1, F(-5, 2))):
         assert point_valuation(form, pt) == oracles.point_valuation(form, pt)
+
+
+def test_root_multiplicity_leaves_a_non_root_unchanged():
+    # 3x - 1 by 2x - 1: 2 does not divide 3, so the first step fails; a
+    # floor quotient 1 would leave the remainder -1 + 1 = 0
+    ip = [-1, 3]
+    got = unipoly.root_multiplicity(ip, 1, 2)
+    assert got == (0, ip) and got[1] is ip
+    # 2x + 3 by 2x - 1: the quotient 1 is exact, the remainder 3 + 1 is not 0
+    ip = [3, 2]
+    got = unipoly.root_multiplicity(ip, 1, 2)
+    assert got == (0, ip) and got[1] is ip
+
+
+def test_root_multiplicity_of_a_triple_root():
+    ip = unipoly.mul([2, 1], [-1, 9, -27, 27])  # (x + 2)(3x - 1)^3
+    assert unipoly.root_multiplicity(ip, 1, 3) == (3, [2, 1])
+    assert unipoly.root_multiplicity(ip, -2, 1) == (1, [-1, 9, -27, 27])
+
+
+def test_rational_roots_order_zero_first_then_increasing():
+    # x^2 (x + 2) (3x - 1)^2
+    p = unipoly.mul([0, 0, 2, 1], [1, -6, 9])
+    got = unipoly.rational_roots(p)
+    assert list(got.items()) == [(F(0), 2), (F(-2), 1), (F(1, 3), 2)]
 
 
 def test_rational_roots_factorizes_each_end_coefficient_once(monkeypatch):

@@ -148,6 +148,16 @@ def test_json_readers_refuse_non_integers(reader, good, bad):
             reader(payload)
 
 
+@pytest.mark.parametrize("reader, payload, field", [
+    (BinaryForm.from_json, {"degree": 1, "coeffs": "12"}, "coeffs"),
+    (FormSpace.from_json, {"degree": 1, "basis": "10"}, "basis"),
+    (FormSpace.from_json, {"degree": 1, "basis": ["10"]}, "basis row"),
+])
+def test_json_readers_refuse_strings_for_lists(reader, payload, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a list, got "):
+        reader(payload)
+
+
 # each reader with the error class it raises, taking one rational value
 RATIONAL_READERS = {
     "BinaryForm": (lambda v: BinaryForm(1, [1, v]), ValueError),
@@ -161,11 +171,11 @@ RATIONAL_READERS = {
 }
 
 
-@pytest.mark.parametrize("bad", [0.5, True, Decimal("0.5"), "1/0"], ids=repr)
+@pytest.mark.parametrize("bad", [0.5, True, Decimal("0.5"), "1/0", "1e4000000", "2E-3"], ids=repr)
 @pytest.mark.parametrize("name", RATIONAL_READERS)
 def test_rational_readers_refuse_inexact_values(name, bad):
     reader, error = RATIONAL_READERS[name]
-    for good in (-3, Fraction(-3, 4), "-3/4"):
+    for good in (-3, Fraction(-3, 4), "-3/4", "12", "0.25"):
         reader(good)
     with pytest.raises(error, match=f"must be an exact rational, got {re.escape(repr(bad))}$"):
         reader(bad)
