@@ -189,10 +189,12 @@ class CellParams:
     @classmethod
     def from_json(cls, data) -> "CellParams":
         ideal = MonomialIdeal(Partition.from_json(data["partition"]))
-        values = {
-            (parse_mono(entry["mu"]), parse_mono(entry["nu"])): entry["value"]
-            for entry in data["params"]
-        }
+        values = {}
+        for entry in data["params"]:
+            mu, nu = parse_mono(entry["mu"]), parse_mono(entry["nu"])
+            if (mu, nu) in values:
+                raise InconsistentParams(f"pair ({mono_str(mu)}, {mono_str(nu)}) is given twice")
+            values[mu, nu] = entry["value"]
         return cls(ideal, values)
 
     @classmethod

@@ -80,14 +80,25 @@ class Combination:
 
     @classmethod
     def make(cls, *ring_and_terms):
-        """Sum the coefficients of equal keys; drop zero sums and rejected keys."""
+        """The class of the ring with ``terms``, a dict or an iterable of
+        (key, coefficient) pairs.  Equal keys are summed, first as given and
+        then after ``_key`` has normalized each distinct one; zero sums and
+        rejected keys are dropped.  A coefficient that is not an integer (a
+        float, a Fraction, a boolean) raises ValueError."""
         *ring, terms = ring_and_terms
+        if not isinstance(terms, dict):
+            pairs, terms = terms, {}
+            get = terms.get
+            for key, coeff in pairs:
+                terms[key] = get(key, 0) + (coeff if type(coeff) is int else _index(coeff, "coefficient"))
         key_of, out = cls._key, {}
         for key, coeff in terms.items():
+            if type(coeff) is not int:
+                coeff = _index(coeff, "coefficient")
             key = key_of(*ring, key)
             if key is not None and coeff:
                 out[key] = out.get(key, 0) + coeff
-        return cls(*ring, tuple(sorted((k, int(c)) for k, c in out.items() if c)))
+        return cls(*ring, tuple(sorted([term for term in out.items() if term[1]])))
 
     @property
     def ring(self) -> dict:
@@ -106,13 +117,10 @@ class Combination:
 
     def __add__(self, other):
         self._check(other)
-        out = self.as_dict()
-        for k, c in other.terms:
-            out[k] = out.get(k, 0) + c
-        return self.make(*self.ring.values(), out)
+        return self.make(*self.ring.values(), self.terms + other.terms)
 
     def __neg__(self):
-        return self.make(*self.ring.values(), {k: -c for k, c in self.terms})
+        return self.make(*self.ring.values(), [(k, -c) for k, c in self.terms])
 
     def __sub__(self, other):
         return self + (-other)
@@ -133,7 +141,7 @@ class SchubertClass(Combination):
     mismatch = BoxMismatch
 
     @classmethod
-    def make(cls, box, terms: dict) -> "SchubertClass":
+    def make(cls, box, terms) -> "SchubertClass":
         rows, cols = box
         return super().make((rows, cols), terms)
 
@@ -180,10 +188,7 @@ class SchubertClass(Combination):
     def from_json(cls, data) -> "SchubertClass":
         return cls.make(
             tuple(_index(v, "box size") for v in data["box"]),
-            {
-                tuple(_index(v, "part") for v in t["partition"]): _index(t["coeff"], "coeff")
-                for t in data["terms"]
-            },
+            [(tuple(t["partition"]), t["coeff"]) for t in data["terms"]],
         )
 
 
@@ -191,28 +196,25 @@ def lr_multiply(x: SchubertClass, y: SchubertClass) -> SchubertClass:
     """Product in the cohomology ring, truncated to the box."""
     x._check(y)
     rows, cols = x.box
-    out = Counter()
-    for p1, c1 in x.terms:
-        for p2, c2 in y.terms:
-            for lam, co in _lr_fillings(p1, p2, (cols,) * rows).items():
-                out[lam] += c1 * c2 * co
-    return SchubertClass.make(x.box, out)
+    return SchubertClass.make(x.box, [
+        (lam, c1 * c2 * co)
+        for p1, c1 in x.terms
+        for p2, c2 in y.terms
+        for lam, co in _lr_fillings(p1, p2, (cols,) * rows).items()
+    ])
 
 
 def pieri_multiply(x: SchubertClass) -> SchubertClass:
     """Multiply by the codimension-one class by adding a box in all legal
     ways; kept as an independent cross-check of the tableau rule."""
     rows, cols = x.box
-    out: dict[tuple[int, ...], int] = {}
-    for p, c in x.terms:
-        padded = list(p) + [0] * (rows - len(p))
-        for r in range(rows):
-            if padded[r] < cols and (r == 0 or padded[r - 1] > padded[r]):
-                q = list(padded)
-                q[r] += 1
-                key = _norm_partition(q)
-                out[key] = out.get(key, 0) + c
-    return SchubertClass.make(x.box, out)
+    return SchubertClass.make(x.box, [
+        (padded[:r] + (padded[r] + 1,) + padded[r + 1:], c)
+        for p, c in x.terms
+        for padded in [p + (0,) * (rows - len(p))]
+        for r in range(rows)
+        if padded[r] < cols and (r == 0 or padded[r - 1] > padded[r])
+    ])
 
 
 def grass_degree(d: int, n: int) -> int:

@@ -35,6 +35,8 @@ class BundleClass(Combination):
     @staticmethod
     def _key(mu, j, key):
         a, b = key
+        if type(a) is not int or type(b) is not int:
+            a, b = key = _index(a, "a"), _index(b, "b")
         return key if 0 <= a <= mu - 1 and 0 <= b <= mu else None
 
     @staticmethod
@@ -68,24 +70,22 @@ class BundleClass(Combination):
     def from_json(cls, data) -> "BundleClass":
         return cls.make(
             _index(data["mu"], "mu"), _index(data["j"], "j"),
-            {
-                (_index(t["a"], "a"), _index(t["b"], "b")): _index(t["coeff"], "coeff")
-                for t in data["terms"]
-            },
+            [((t["a"], t["b"]), t["coeff"]) for t in data["terms"]],
         )
 
 
-def _restrict(mu: int, j: int, kept: dict, spread: dict) -> BundleClass:
-    """The cell class with c [u, v] for every c at (u, v) in ``kept`` plus the
-    binomial spread sum_i C(j+1-mu, i) c [u+i-1, v-i+1] of every c at (u, v)
-    in ``spread``; ``BundleClass.make`` drops the keys out of range."""
+def _restrict(mu: int, j: int, kept, lifted) -> BundleClass:
+    """The cell class with c [u, v] for every pair ((u, v), c) of ``kept``
+    plus the pullback of every ambient term c zeta^u eta^v of ``lifted``:
+    c [u, v] below codimension mu, and from there on the terms of the
+    binomial spread sum_i C(j+1-mu, i) c [u+i-1, v-i+1] that lie in range,
+    max(0, v+1-mu) <= i <= mu-u."""
     n = j + 1 - mu
-    out = dict(kept)
-    for (u, v), c in spread.items():
-        for i in range(n + 1):
-            key = (u + i - 1, v - i + 1)
-            out[key] = out.get(key, 0) + c * comb(n, i)
-    return BundleClass.make(mu, j, out)
+    return BundleClass.make(mu, j, kept + [t for t in lifted if sum(t[0]) < mu] + [
+        ((u + i - 1, v - i + 1), c * comb(n, i))
+        for (u, v), c in lifted if u + v >= mu
+        for i in range(max(0, v + 1 - mu), min(n, mu - u) + 1)
+    ])
 
 
 def t_multiply(x: BundleClass, y: BundleClass) -> BundleClass:
@@ -95,20 +95,22 @@ def t_multiply(x: BundleClass, y: BundleClass) -> BundleClass:
     codimension >= mu; when both codimensions are below mu but the total is
     not, the product spreads binomially as
     sum_i C(j+1-mu, i) [a+c+i-1, b+e-i+1]; two factors of codimension >= mu
-    multiply to zero.  Out-of-range targets are dropped.
+    multiply to zero.  Out-of-range targets are dropped before they are
+    summed.  Below codimension mu, [a,b] is the pullback of zeta^a eta^b, so
+    the product of two such terms is the pullback of zeta^(a+c) eta^(b+e).
     """
     x._check(y)
-    mu, j = x.mu, x.j
-    kept: dict[tuple[int, int], int] = {}
-    spread: dict[tuple[int, int], int] = {}
+    mu = x.mu
+    lifted, kept = [], []
     for (a, b), c1 in x.terms:
+        x_low = a + b < mu
         for (ce, e), c2 in y.terms:
-            cod1, cod2 = a + b, ce + e
-            if cod1 < mu or cod2 < mu:
-                part = spread if cod1 < mu and cod2 < mu <= cod1 + cod2 else kept
-                key = (a + ce, b + e)
-                part[key] = part.get(key, 0) + c1 * c2
-    return _restrict(mu, j, kept, spread)
+            if x_low or ce + e < mu:
+                if x_low and ce + e < mu:
+                    lifted.append(((a + ce, b + e), c1 * c2))
+                elif a + ce < mu and b + e <= mu:
+                    kept.append(((a + ce, b + e), c1 * c2))
+    return _restrict(mu, x.j, kept, lifted)
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,8 @@ class AmbientClass(Combination):
     @staticmethod
     def _key(mu, j, key):
         u, v = key
+        if type(u) is not int or type(v) is not int:
+            u, v = key = _index(u, "u"), _index(v, "v")
         return key if 0 <= u <= mu and 0 <= v <= j else None
 
     @staticmethod
@@ -131,12 +135,11 @@ class AmbientClass(Combination):
 
     def __mul__(self, other):
         self._check(other)
-        out: dict[tuple[int, int], int] = {}
-        for (u1, v1), c1 in self.terms:
-            for (u2, v2), c2 in other.terms:
-                k = (u1 + u2, v1 + v2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return AmbientClass.make(self.mu, self.j, out)
+        return AmbientClass.make(self.mu, self.j, [
+            ((u1 + u2, v1 + v2), c1 * c2)
+            for (u1, v1), c1 in self.terms
+            for (u2, v2), c2 in other.terms
+        ])
 
 
 def class_gt(mu: int, j: int) -> AmbientClass:
@@ -153,26 +156,23 @@ def iota_pullback(x: AmbientClass) -> BundleClass:
     zeta^u eta^v pulls back to [u, v] below the critical codimension and
     spreads binomially past it, mirroring the product rule.
     """
-    kept = {k: c for k, c in x.terms if sum(k) < x.mu}
-    spread = {k: c for k, c in x.terms if sum(k) >= x.mu}
-    return _restrict(x.mu, x.j, kept, spread)
+    return _restrict(x.mu, x.j, [], x.terms)
 
 
 def iota_pushforward(x: BundleClass) -> AmbientClass:
     """Image of a cell class in the ambient product.
 
-    Classes of codimension >= mu push to single monomials; the others are
-    supported on the full class of the variety.
+    Classes of codimension >= mu push to single monomials, [a, b] to
+    zeta^(a+1) eta^(b+j-mu); the others are multiplied by the full class of
+    the variety.
     """
     mu, j = x.mu, x.j
-    total = AmbientClass.make(mu, j, {})
-    gt = class_gt(mu, j)
-    for (a, b), c in x.terms:
-        if a + b >= mu:
-            total = total + AmbientClass.make(mu, j, {(a + 1, b + j - mu): c})
-        else:
-            total = total + AmbientClass.make(mu, j, {(a, b): c}) * gt
-    return total
+    gt, shift = class_gt(mu, j).terms, (((1, j - mu), 1),)
+    return AmbientClass.make(mu, j, [
+        ((a + u, b + v), c * g)
+        for (a, b), c in x.terms
+        for (u, v), g in (shift if a + b >= mu else gt)
+    ])
 
 
 def secant_pullback(mu: int, j: int, i: int) -> BundleClass:
@@ -188,14 +188,7 @@ def secant_pullback(mu: int, j: int, i: int) -> BundleClass:
     if not 1 <= i <= mu:
         raise OutOfRange(f"rank {i} outside 1..{mu}")
     k = mu - i
-    terms = {}
-    for u in range(k + 1):
-        v = k - u
-        if u > j - mu - i + 1 or v > i + 1:
-            continue
-        c = (-1) ** u * comb(j - mu - i + 1, u) * comb(i + 1, v)
-        if c:
-            terms[(u, v)] = c
+    terms = {(u, k - u): (-1) ** u * comb(j - mu - i + 1, u) * comb(i + 1, k - u) for u in range(k + 1)}
     return iota_pullback(AmbientClass.make(mu, j, terms))
 
 

@@ -2,14 +2,16 @@
 
 These are the straightforward versions the library's fast paths replaced:
 row reduction and row-space membership over :class:`~fractions.Fraction`,
-a Laplace determinant over Fraction polynomials, a
+a Laplace determinant over integer or Fraction polynomials, a
 rational root search that evaluates every rational-root-theorem candidate
 with Fraction arithmetic, a frame change that expands every monomial
 binomially, standard generators built on monomial dicts and reduced by a
 search for the smallest ideal monomial after every subtraction, ideal pieces
 spanned by every monomial multiple of the generators, a Littlewood-Richardson
-product that counts the tableaux of every shape in the box, and every
-partition of n by recursion on the largest part.  They share no code with
+product that counts the tableaux of every shape in the box, products,
+pushforwards and pullbacks of cell classes summed in dicts, with every
+binomial spread taken over its whole range, and every partition of n by
+recursion on the largest part.  They share no code with
 the paths they check.
 
 Two cross-checks that the library leaves to the tests live here too: the
@@ -23,7 +25,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from hookcells import BinaryForm, FormSpace, Partition, SchubertClass, pair_set_S
+from hookcells import AmbientClass, BinaryForm, BundleClass, FormSpace, Partition, SchubertClass, pair_set_S
 from hookcells.partitions import box_complement, box_partitions
 from hookcells.unipoly import _divisors
 
@@ -83,7 +85,7 @@ def _add(p, q):
 
 
 def _mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for k, b in enumerate(q):
             out[i + k] += a * b
@@ -91,7 +93,7 @@ def _mul(p, q):
 
 
 def _derivative(p):
-    return _trim([Fraction(i) * p[i] for i in range(1, len(p))]) if len(p) > 1 else [Fraction(0)]
+    return _trim([i * p[i] for i in range(1, len(p))]) if len(p) > 1 else [0]
 
 
 def eval_at(p, x):
@@ -119,19 +121,20 @@ def divmod_(p, q):
 
 def laplace_det(matrix):
     """Determinant of a square matrix of polynomials, by Laplace expansion
-    along the first row over Fraction coefficients."""
-    matrix = [[[Fraction(c) for c in e] for e in row] for row in matrix]
+    along the first row; integer coefficients stay integers and any other
+    coefficient is read as a Fraction."""
+    matrix = [[[c if type(c) is int else Fraction(c) for c in e] for e in row] for row in matrix]
     n = len(matrix)
     if n == 0:
-        return [Fraction(1)]
+        return [1]
     memo = {}
 
     def minor(row, colmask):
         if row == n:
-            return [Fraction(1)]
+            return [1]
         if colmask in memo:
             return memo[colmask]
-        acc = [Fraction(0)]
+        acc = [0]
         sign = 1
         for c in range(n):
             bit = 1 << c
@@ -149,15 +152,16 @@ def laplace_det(matrix):
 
 
 def wronskian(space, at="y"):
-    """The Wronskian of the space from its Fraction basis, dehomogenized at
+    """The Wronskian of the space from its stored rows, dehomogenized at
     y = 1 (``at="y"``) or at x = 1 (``at="x"``), rehomogenized and
-    normalized to leading coefficient 1.  Both must give the same form."""
+    normalized to leading coefficient 1, which also undoes any scaling of
+    the rows.  Both must give the same form."""
     d = space.dim
     n_deg = d * space.codim
     if at == "y":
-        polys = [f.coeff_poly_in_x() for f in space.basis]
+        polys = [_trim(row[::-1]) for row in space.rows]  # f(x, 1) by x-power
     else:
-        polys = [_trim(f.coeffs) for f in space.basis]  # f(1, y) by y-power
+        polys = [_trim(row) for row in space.rows]  # f(1, y) by y-power
     rows = [polys]
     for _ in range(d - 1):
         rows.append([_derivative(q) for q in rows[-1]])
@@ -399,6 +403,87 @@ def lr_multiply(x, y):
                 if co:
                     out[lam] = out.get(lam, 0) + c1 * c2 * co
     return SchubertClass.make(x.box, out)
+
+
+def _bundle_class(mu, j, out):
+    """The cell class of the nonzero in-range entries of ``out``, built
+    without ``make``."""
+    return BundleClass(mu, j, tuple(sorted(
+        (k, c) for k, c in out.items() if c and 0 <= k[0] <= mu - 1 and 0 <= k[1] <= mu
+    )))
+
+
+def _restrict(mu, j, kept, spread):
+    """c [u, v] for every c at (u, v) in ``kept`` plus the binomial spread
+    sum_i C(j+1-mu, i) c [u+i-1, v-i+1], i = 0..j+1-mu, of every c at (u, v)
+    in ``spread``."""
+    n = j + 1 - mu
+    out = dict(kept)
+    for (u, v), c in spread.items():
+        for i in range(n + 1):
+            key = (u + i - 1, v - i + 1)
+            out[key] = out.get(key, 0) + c * math.comb(n, i)
+    return _bundle_class(mu, j, out)
+
+
+def t_multiply(x, y):
+    """Product of cell classes: [a+c, b+e] while at most one factor has
+    codimension >= mu, spread binomially when both are below mu and the
+    total is not."""
+    mu, j = x.mu, x.j
+    kept, spread = {}, {}
+    for (a, b), c1 in x.terms:
+        for (ce, e), c2 in y.terms:
+            cod1, cod2 = a + b, ce + e
+            if cod1 < mu or cod2 < mu:
+                part = spread if cod1 < mu and cod2 < mu <= cod1 + cod2 else kept
+                key = (a + ce, b + e)
+                part[key] = part.get(key, 0) + c1 * c2
+    return _restrict(mu, j, kept, spread)
+
+
+def iota_pullback(x):
+    """zeta^u eta^v to [u, v] below codimension mu, spread from there on."""
+    return _restrict(
+        x.mu, x.j,
+        {k: c for k, c in x.terms if sum(k) < x.mu},
+        {k: c for k, c in x.terms if sum(k) >= x.mu},
+    )
+
+
+def iota_pushforward(x):
+    """[a, b] to zeta^(a+1) eta^(b+j-mu) at codimension >= mu, else to
+    zeta^a eta^b (zeta + eta)^(j+1-mu) expanded binomially; truncated to
+    P^mu x P^j."""
+    mu, j = x.mu, x.j
+    n = j + 1 - mu
+    out = {}
+    for (a, b), c in x.terms:
+        if a + b >= mu:
+            image = {(a + 1, b + j - mu): c}
+        else:
+            image = {(a + i, b + n - i): c * math.comb(n, i) for i in range(n + 1)}
+        for k, v in image.items():
+            out[k] = out.get(k, 0) + v
+    return AmbientClass(mu, j, tuple(sorted(
+        (k, c) for k, c in out.items() if c and 0 <= k[0] <= mu and 0 <= k[1] <= j
+    )))
+
+
+def secant_pullback(mu, j, i):
+    """Pullback of the rank-i stratum: the coefficient of t^(mu-i) in
+    (1 - zeta t)^(j-mu-i+1) (1 + eta t)^(i+1), each term skipped where a
+    binomial is out of range, pulled back."""
+    k = mu - i
+    terms = {}
+    for u in range(k + 1):
+        v = k - u
+        if u > j - mu - i + 1 or v > i + 1:
+            continue
+        c = (-1) ** u * math.comb(j - mu - i + 1, u) * math.comb(i + 1, v)
+        if c:
+            terms[(u, v)] = c
+    return iota_pullback(AmbientClass(mu, j, tuple(sorted(terms.items()))))
 
 
 @lru_cache(maxsize=None)

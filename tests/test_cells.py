@@ -146,6 +146,13 @@ def test_params_must_match_pair_set():
         CellParams(E, {((0, 2), (1, 1)): F(1), ((9, 9), (8, 8)): F(1)})
 
 
+def test_params_from_json_refuse_a_repeated_pair():
+    data = CellParams.zeros(ideal_of([3, 1])).to_json()
+    data["params"].append({**data["params"][0], "value": "5"})
+    with pytest.raises(InconsistentParams, match=r"\(x\^0 y\^2, x\^2 y\^0\) is given twice"):
+        CellParams.from_json(data)
+
+
 def test_params_refuse_inexact_values():
     E = ideal_of([2, 2])
     pair = ((0, 2), (1, 1))

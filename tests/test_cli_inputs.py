@@ -36,9 +36,16 @@ def test_unreadable_input_file_is_a_domain_error(tmp_path, capsys, argv, problem
 
 
 PARAMS_22 = {"partition": [2, 2], "params": [{"mu": "x^0 y^2", "nu": "x^1 y^1", "value": "2"}]}
+# the S(E) pairs of E = [3, 1], the first given again with another value
+PARAMS_31_TWICE = {"partition": [3, 1], "params": [
+    {"mu": "x^0 y^2", "nu": "x^2 y^0", "value": "0"},
+    {"mu": "x^1 y^1", "nu": "x^2 y^0", "value": "0"},
+    {"mu": "x^0 y^2", "nu": "x^2 y^0", "value": "5"},
+]}
+FILE_ERROR = "InputFileError: {path}: "
 
-
-@pytest.mark.parametrize("argv, payload", [
+# (argv, payload, the start of the one-line error)
+MALFORMED = [(argv, payload, FILE_ERROR) for argv, payload in [
     (FILE_COMMANDS[0], {"degree": 3}),
     (FILE_COMMANDS[1], {"degree": 3}),
     (FILE_COMMANDS[0], {"degree": 1, "basis": [["1", "1/0"]]}),
@@ -60,23 +67,32 @@ PARAMS_22 = {"partition": [2, 2], "params": [{"mu": "x^0 y^2", "nu": "x^1 y^1", 
     (FILE_COMMANDS[1], {"degree": 1, "basis": "10"}),
     (FILE_COMMANDS[4], {"coeffs": "123"}),
     (FILE_COMMANDS[4], {"coeffs": ["1e4000000", "1"]}),
-] + [
+]] + [
     # a float, true, Infinity or NaN where a rational belongs
-    (argv, payload)
+    (argv, payload, FILE_ERROR)
     for value in (0.5, True, math.inf, math.nan)
     for argv, payload in [
         (FILE_COMMANDS[0], {"degree": 1, "basis": [[1, value]]}),
         (FILE_COMMANDS[1], {"degree": 1, "basis": [[1, value]]}),
         (FILE_COMMANDS[4], {"coeffs": [1, value, 1]}),
     ]
-], ids=lambda v: v[0] if isinstance(v, tuple) else None)
-def test_malformed_payload_is_a_domain_error(tmp_path, capsys, argv, payload):
+] + [
+    # a repeated pair, where the last value used to win silently
+    (FILE_COMMANDS[2], PARAMS_31_TWICE, "InconsistentParams: pair (x^0 y^2, x^2 y^0) is given twice"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, payload, prefix", MALFORMED,
+    ids=[f"{argv[0]}-{p if isinstance(p, str) else f'payload{i}'}" for i, (argv, p, _) in enumerate(MALFORMED)],
+)
+def test_malformed_payload_is_a_domain_error(tmp_path, capsys, argv, payload, prefix):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     code = main([*argv, str(path)])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
-    assert err.startswith(f"InputFileError: {path}: ")
+    assert err.startswith(prefix.format(path=path))
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import oracles
 from hookcells import (
     AmbientClass,
     BinaryForm,
@@ -115,6 +116,29 @@ def test_pullback_pushforward_projection_formula():
         self_int = iota_pullback(iota_pushforward(BundleClass.make(mu, j, {(0, 0): 1})))
         for x in basis_classes(mu, j):
             assert iota_pullback(iota_pushforward(x)) == t_multiply(x, self_int)
+
+
+def test_products_match_the_dict_oracles_exhaustively():
+    """t_multiply on every pair of basis classes, iota_pushforward and
+    iota_pullback on every basis class of each ring, and secant_pullback on
+    every rank, for 1 <= mu <= 5 and mu <= j <= 2 mu + 3, and t_multiply on
+    one combination of all of them, against the versions in ``oracles``."""
+    for mu in range(1, 6):
+        for j in range(mu, 2 * mu + 4):
+            classes = basis_classes(mu, j)
+            for x in classes:
+                assert iota_pushforward(x) == oracles.iota_pushforward(x)
+                for y in classes:
+                    assert t_multiply(x, y) == oracles.t_multiply(x, y)
+            for u in range(mu + 1):
+                for v in range(j + 1):
+                    z = AmbientClass.make(mu, j, {(u, v): 1})
+                    assert iota_pullback(z) == oracles.iota_pullback(z)
+            dense = BundleClass.make(mu, j, {x.terms[0][0]: k % 7 - 3 for k, x in enumerate(classes)})
+            assert t_multiply(dense, dense) == oracles.t_multiply(dense, dense)
+            if 2 * mu < j + 1:
+                for i in range(1, mu + 1):
+                    assert secant_pullback(mu, j, i) == oracles.secant_pullback(mu, j, i)
 
 
 def test_secant_pullback_examples():
