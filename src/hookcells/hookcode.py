@@ -7,6 +7,9 @@ component fits in a rectangle with ``t_i - t_{i+1}`` rows of width
 ``1 + t_{i-1} - t_i``; the code is a bijection from the shapes of diagonal
 lengths T onto all box-bounded sequences, turns duals into complements, and
 its total length is the number of difference-one hooks.
+
+:func:`code` reads the code off the boundary walk of the shape, and
+:func:`decode` builds that walk from the code.
 """
 
 from __future__ import annotations
@@ -17,17 +20,8 @@ from itertools import product
 from math import comb, prod
 
 from . import unipoly
-from .errors import InternalError, NotFound
-from .partitions import (
-    HilbertFunction,
-    Partition,
-    _index,
-    as_hilbert,
-    box_complement,
-    box_partitions,
-    enumerate_with_diagonal_lengths,
-    hooks,
-)
+from .errors import InternalError, NotFound, OutOfRange
+from .partitions import Partition, _index, as_hilbert, box_complement, box_partitions
 
 
 class BoxSequence:
@@ -86,53 +80,72 @@ class HookCode:
 
 
 def code(p: Partition) -> HookCode:
-    """Hook code of a shape.
+    """Hook code of a shape, read off its boundary walk in one pass.
 
-    For each degree the hands (cells ending a row) are listed by decreasing
-    x-power and each receives the number of difference-one hooks it tips.
-    When the shape has a cell in column 0 of the next diagonal there is one
-    hand more than the box has rows; that lowest hand never carries a hook
-    and is dropped.
+    The walk runs from ``(0, rows)`` to ``(p[0], 0)``; an east step raises
+    the level x + y by one and a north step lowers it.  The north step that
+    ends a row on diagonal i leaves level i + 2: that row end is a hand, and
+    the difference-one hooks it tips are the east steps out of level i
+    taken before it.  Each degree lists its hands in reverse walk order.
+    When a degree has one hand more than its box has rows, the first one on
+    the walk never carries a hook and is dropped.
     """
     T = p.diagonal_lengths()
     bx = BoxSequence(T)
-    by_hand: dict[tuple[int, int], int] = {}
-    hands_by_deg: dict[int, set] = {}
-    for h in hooks(p):
-        hands_by_deg.setdefault(h.hand_degree, set()).add(h.hand)
-        if h.difference == 1:
-            by_hand[h.hand] = by_hand.get(h.hand, 0) + 1
+    east = [0] * (T.j + 2)  # east steps out of each level so far
+    hands: dict[int, list[int]] = {}
+    x = 0
+    for r in reversed(range(len(p))):
+        for level in range(x + r + 1, p[r] + r + 1):
+            east[level] += 1
+        x = p[r]
+        hands.setdefault(x + r - 1, []).append(east[x + r - 1])
     qs = []
-    for i in range(T.mu, T.j + 1):
-        rows, _cols = bx.box(i)
-        hands = sorted(hands_by_deg.get(i, ()), key=lambda rc: rc[0])  # decreasing x-power
-        counts = [by_hand.get(h, 0) for h in hands]
+    for i, (rows, _cols) in enumerate(bx.boxes, bx.mu):
+        counts = hands.get(i, [])[::-1]
         if len(counts) == rows + 1 and counts[-1] == 0:
-            counts = counts[:-1]
+            counts.pop()
         if len(counts) != rows:
             raise InternalError(f"shape {list(p.parts)}, degree {i}: counts {counts}, {rows} rows")
         qs.append(tuple(counts))
-    return HookCode(T.mu, T.j, tuple(qs))
-
-
-@lru_cache(maxsize=None)
-def _decode_table(t: tuple[int, ...]):
-    return {code(p): p for p in enumerate_with_diagonal_lengths(HilbertFunction(t))}
+    return HookCode(bx.mu, bx.j, tuple(qs))
 
 
 def decode(T, d: HookCode) -> Partition:
     """The unique shape of diagonal lengths ``T`` with hook code ``d``.
 
-    Inverted through a per-T lookup table built from the enumeration.
+    Builds the list of levels of the boundary walk of :func:`code`.  It
+    starts as a run down from ``rows`` to mu and up to ``p[0]``: 1 + the last
+    degree whose component holds a 0, resp. its box width, or mu if none
+    does.  Then for c = mu, ..., j + 1 the visit to level c after k east
+    steps out of c - 1 gets one excursion up to c + 1 per entry k of
+    ``Q_{c-1}``, reading ``Q_{mu-1}`` as mu - t_mu zeros.  The walk has at
+    most 2j + 4 points.
     """
     T = as_hilbert(T)
-    if not BoxSequence(T).fits(d):
+    bx = BoxSequence(T)
+    if not bx.fits(d):
         raise NotFound(f"code {d} does not fit the boxes of {list(T.t)}")
-    table = _decode_table(T.t)
-    try:
-        return table[d]
-    except KeyError as exc:  # pragma: no cover - contradicts bijectivity
-        raise NotFound(f"no shape with code {d}") from exc
+    mu = T.mu
+    rows = 1 + max((i for i, q in enumerate(d.qs, mu) if 0 in q), default=mu - 1)
+    widths = enumerate(zip(d.qs, bx.boxes), mu)
+    top = 1 + max((i for i, (q, (_rows, cols)) in widths if cols in q), default=mu - 1)
+    walk = [*range(rows, mu, -1), *range(mu, top + 1)]
+    for c, q in enumerate(((0,) * (mu - T.value(mu)),) + d.qs, mu):
+        out, k, prev = [], 0, None
+        for level in walk:
+            out.append(level)
+            if level == c:
+                if prev == c - 1:
+                    k += 1
+                out.extend((c + 1, c) * q.count(k))
+            prev = level
+        walk = out
+    # point s of the walk is (x, y) with x + y = walk[s] and x - y = s - rows
+    p = Partition(reversed([(s + a - rows) // 2 for s, (a, b) in enumerate(zip(walk, walk[1:])) if b < a]))
+    if p.diagonal_profile() != T.t:
+        raise InternalError(f"code {d} of {list(T.t)} decoded to {list(p.parts)}")
+    return p
 
 
 def complement(T, d: HookCode) -> HookCode:
@@ -142,9 +155,18 @@ def complement(T, d: HookCode) -> HookCode:
     return HookCode(T.mu, T.j, qs)
 
 
+# Largest cell_count(T) that all_codes, and so enumeration and `cells enum`,
+# accept: T = (1, 2, ..., 10, ..., 2, 1) has 19683 cells (README).
+MAX_CELLS = 50_000
+
+
 def all_codes(T) -> tuple[HookCode, ...]:
-    """Every box-bounded code sequence for ``T``."""
+    """Every box-bounded code sequence for ``T``; ``OutOfRange`` when there
+    are more than ``MAX_CELLS``."""
     T = as_hilbert(T)
+    count = cell_count(T)
+    if count > MAX_CELLS:
+        raise OutOfRange(f"T = {list(T.t)} has {count} cells, more than the limit {MAX_CELLS}")
     pools = [
         [q + (0,) * (rows - len(q)) for q in box_partitions(rows, cols)]
         for rows, cols in BoxSequence(T).boxes

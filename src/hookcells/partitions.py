@@ -9,7 +9,7 @@ function (1, 2, ..., mu, t_mu, ..., t_j) with ``mu >= t_mu >= ... >= t_j > 0``.
 Every cell is the corner of exactly one hook, whose arm runs to the end of
 its row and whose leg runs to the bottom of its column.  Hooks with
 arm - leg = 1 index the free parameters of the cells studied in
-:mod:`hookcells.cells` and are the raw material of :mod:`hookcells.hookcode`.
+:mod:`hookcells.cells` and are counted by :mod:`hookcells.hookcode`.
 """
 
 from __future__ import annotations
@@ -336,43 +336,14 @@ def ramification_partition(increasing) -> tuple[int, ...]:
 
 
 def enumerate_with_diagonal_lengths(T) -> tuple[Partition, ...]:
-    """All partitions whose diagonal lengths equal ``T``.
+    """All partitions whose diagonal lengths equal ``T``, in descending
+    lexicographic order on the parts: every code of
+    :func:`hookcells.hookcode.all_codes` decoded, so ``OutOfRange`` above
+    its ``MAX_CELLS``."""
+    from .hookcode import all_codes, decode  # hookcode imports this module
 
-    Rows are chosen top-down; once row ``r`` is fixed, every anti-diagonal
-    below ``r`` is complete and must already match ``T``, which prunes hard.
-    Each row tries its lengths from the largest down, so the depth-first
-    search emits the shapes in descending lexicographic order on the parts.
-    """
     T = as_hilbert(T)
-    if not T.t:
-        return (Partition(),)
-    j = T.j
-    target = T.t
-    counts = [0] * (j + 1)
-    parts: list[int] = []
-    out = []
-
-    def rec(r, prev, rem):
-        if r > 0 and counts[r - 1] != target[r - 1]:
-            return
-        if rem == 0:
-            if counts == list(target):
-                out.append(Partition(parts))
-            return
-        hi = min(prev, j + 1 - r)
-        for pr in range(hi, 0, -1):
-            if any(counts[r + c] >= target[r + c] for c in range(pr)):
-                continue
-            for c in range(pr):
-                counts[r + c] += 1
-            parts.append(pr)
-            rec(r + 1, pr, rem - pr)
-            parts.pop()
-            for c in range(pr):
-                counts[r + c] -= 1
-
-    rec(0, j + 1, T.n)
-    return tuple(out)
+    return tuple(sorted((decode(T, d) for d in all_codes(T)), key=lambda p: p.parts, reverse=True))
 
 
 def hilbert_functions_upto(max_n: int) -> tuple[HilbertFunction, ...]:

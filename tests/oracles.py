@@ -10,9 +10,14 @@ search for the smallest ideal monomial after every subtraction, ideal pieces
 spanned by every monomial multiple of the generators, a Littlewood-Richardson
 product that counts the tableaux of every shape in the box, products,
 pushforwards and pullbacks of cell classes summed in dicts, with every
-binomial spread taken over its whole range, and every partition of n by
-recursion on the largest part.  They share no code with
-the paths they check.
+binomial spread taken over its whole range, every partition of n by
+recursion on the largest part, the hook code read off the hooks of a shape,
+and a depth-first search for the shapes of given diagonal lengths.  They
+share no code with the paths they check.
+
+A multi-modular determinant of integer polynomial matrices, by elimination
+modulo 62-bit primes, interpolation and Chinese remaindering, checks
+``unipoly.det`` on matrices too large for the Laplace expansion.
 
 Two cross-checks that the library leaves to the tests live here too: the
 Wronskian dehomogenized at x = 1 as well as at y = 1, and the
@@ -25,8 +30,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from hookcells import AmbientClass, BinaryForm, BundleClass, FormSpace, Partition, SchubertClass, pair_set_S
-from hookcells.partitions import box_complement, box_partitions
+from hookcells import (
+    AmbientClass, BinaryForm, BoxSequence, BundleClass, FormSpace, HookCode, Partition, SchubertClass, pair_set_S,
+)
+from hookcells.errors import InternalError
+from hookcells.partitions import as_hilbert, box_complement, box_partitions, hooks
 from hookcells.unipoly import _divisors
 
 
@@ -149,6 +157,96 @@ def laplace_det(matrix):
         return acc
 
     return minor(0, (1 << n) - 1)
+
+
+def _is_prime(n):
+    """Miller-Rabin on the first twelve prime bases, deterministic for
+    n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _det_mod(m, p):
+    """Determinant mod the prime ``p`` by Gaussian elimination."""
+    m = [row[:] for row in m]
+    n, out = len(m), 1
+    for c in range(n):
+        r = next((r for r in range(c, n) if m[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            m[c], m[r], out = m[r], m[c], -out
+        out = out * m[c][c] % p
+        inv = pow(m[c][c], -1, p)
+        for r in range(c + 1, n):
+            f = m[r][c] * inv % p
+            if f:
+                m[r][c:] = [(a - f * b) % p for a, b in zip(m[r][c:], m[c][c:])]
+    return out % p
+
+
+def _interpolate_mod(ys, p):
+    """Coefficients mod ``p`` of the polynomial of degree below len(ys) that
+    takes the value ys[x] at x = 0, 1, ...: Newton divided differences, then
+    Horner in the Newton basis."""
+    c = list(ys)
+    for k in range(1, len(c)):
+        inv = pow(k, -1, p)
+        for i in range(len(c) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % p
+    out = [c[-1]]
+    for k in range(len(c) - 2, -1, -1):
+        # out * (x - k) + c[k]
+        out = [(c[k] - k * out[0]) % p] + [(a - k * b) % p for a, b in zip(out, out[1:])] + [out[-1]]
+    return out
+
+
+def det_multimodular(matrix):
+    """Determinant of a square matrix of integer polynomials, modulo primes
+    just below 2^62: each prime takes the determinants of the matrix's
+    values at 0, 1, ..., D by elimination and interpolates them, and the
+    coefficients are lifted by the Chinese remainder theorem until the
+    modulus passes twice the height H.  D is the smaller sum of the rows'
+    (or the columns') largest entry degrees, and H the smaller product of
+    the row (or column) sums of the entries' l1 norms."""
+    n = len(matrix)
+    if n == 0:
+        return [1]
+    lens = [[len(e) for e in row] for row in matrix]
+    deg = min(sum(map(max, lens)), sum(map(max, zip(*lens)))) - n
+    norms = [[sum(map(abs, e)) for e in row] for row in matrix]
+    height = min(math.prod(map(sum, norms)), math.prod(map(sum, zip(*norms))))
+    values = []
+    for x in range(deg + 1):
+        values.append([[sum(c * x**k for k, c in enumerate(e)) for e in row] for row in matrix])
+    coeffs, modulus, p = [0] * (deg + 1), 1, 1 << 62
+    while modulus <= 2 * height:
+        p -= 1
+        while not _is_prime(p):
+            p -= 1
+        residues = _interpolate_mod([_det_mod([[v % p for v in row] for row in m], p) for m in values], p)
+        lift = pow(modulus, -1, p)
+        coeffs = [a + modulus * ((r - a) * lift % p) for a, r in zip(coeffs, residues)]
+        modulus *= p
+    coeffs = [a - modulus if 2 * a > modulus else a for a in coeffs]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 def wronskian(space, at="y"):
@@ -499,3 +597,73 @@ def _partitions_of(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n`` in descending lexicographic order."""
     return tuple(Partition(p) for p in _partitions_of(n, n))
+
+
+def code(p: Partition) -> HookCode:
+    """Hook code of a shape.
+
+    For each degree the hands (cells ending a row) are listed by decreasing
+    x-power and each receives the number of difference-one hooks it tips.
+    When the shape has a cell in column 0 of the next diagonal there is one
+    hand more than the box has rows; that lowest hand never carries a hook
+    and is dropped.
+    """
+    T = p.diagonal_lengths()
+    bx = BoxSequence(T)
+    by_hand: dict[tuple[int, int], int] = {}
+    hands_by_deg: dict[int, set] = {}
+    for h in hooks(p):
+        hands_by_deg.setdefault(h.hand_degree, set()).add(h.hand)
+        if h.difference == 1:
+            by_hand[h.hand] = by_hand.get(h.hand, 0) + 1
+    qs = []
+    for i in range(T.mu, T.j + 1):
+        rows, _cols = bx.box(i)
+        hands = sorted(hands_by_deg.get(i, ()), key=lambda rc: rc[0])  # decreasing x-power
+        counts = [by_hand.get(h, 0) for h in hands]
+        if len(counts) == rows + 1 and counts[-1] == 0:
+            counts = counts[:-1]
+        if len(counts) != rows:
+            raise InternalError(f"shape {list(p.parts)}, degree {i}: counts {counts}, {rows} rows")
+        qs.append(tuple(counts))
+    return HookCode(T.mu, T.j, tuple(qs))
+
+
+def enumerate_with_diagonal_lengths(T) -> tuple[Partition, ...]:
+    """All partitions whose diagonal lengths equal ``T``.
+
+    Rows are chosen top-down; once row ``r`` is fixed, every anti-diagonal
+    below ``r`` is complete and must already match ``T``, which prunes hard.
+    Each row tries its lengths from the largest down, so the depth-first
+    search emits the shapes in descending lexicographic order on the parts.
+    """
+    T = as_hilbert(T)
+    if not T.t:
+        return (Partition(),)
+    j = T.j
+    target = T.t
+    counts = [0] * (j + 1)
+    parts: list[int] = []
+    out = []
+
+    def rec(r, prev, rem):
+        if r > 0 and counts[r - 1] != target[r - 1]:
+            return
+        if rem == 0:
+            if counts == list(target):
+                out.append(Partition(parts))
+            return
+        hi = min(prev, j + 1 - r)
+        for pr in range(hi, 0, -1):
+            if any(counts[r + c] >= target[r + c] for c in range(pr)):
+                continue
+            for c in range(pr):
+                counts[r + c] += 1
+            parts.append(pr)
+            rec(r + 1, pr, rem - pr)
+            parts.pop()
+            for c in range(pr):
+                counts[r + c] -= 1
+
+    rec(0, j + 1, T.n)
+    return tuple(out)

@@ -154,9 +154,9 @@ def test_large_wronskian_in_polynomial_time(monkeypatch):
     """A dense (12, 28) space.  A polynomial Laplace expansion takes about
     10.5 s here and evaluation with interpolation about 0.6 s (shared 2-core
     machine), so the 5 s bound catches a return to exponential cost.  The
-    determinant is checked, outside the timed call, against the Kronecker
-    path on the same matrix with its generic coefficient bound, which does
-    not depend on the bounds the Wronskian passes."""
+    determinant is checked, outside the timed call, against the
+    multi-modular oracle on the same matrix with its generic degree and
+    height, which do not depend on the bounds the Wronskian passes."""
     rng = random.Random(5)
     V = FormSpace(28, [[rng.randint(-9, 9) for _ in range(29)] for _ in range(12)])
     calls = []
@@ -174,7 +174,7 @@ def test_large_wronskian_in_polynomial_time(monkeypatch):
     [(matrix, (degree, _), got)] = calls
     assert degree == 12 * 17
     assert len(matrix) > unipoly.KRONECKER_MAX
-    assert unipoly._det_kronecker(matrix) == got
+    assert oracles.det_multimodular(matrix) == got
 
 
 def test_complement_dual_identity_random():

@@ -53,6 +53,14 @@ def test_cells_enum(capsys):
     assert out.splitlines()[-1] == "total cells: 3"
 
 
+def test_cells_enum_above_the_cell_limit_is_a_domain_error(capsys):
+    # 3^29 cells: refused before any shape is built
+    T = ",".join(map(str, [*range(1, 31), *range(29, 0, -1)]))
+    code, out, err = run(capsys, "cells", "enum", "--T", T)
+    assert code == 1 and out == ""
+    assert err.startswith("OutOfRange") and "Traceback" not in err
+
+
 def test_grass_degree(capsys):
     code, out, _ = run(capsys, "grass", "degree", "--d", "2", "--n", "4")
     assert code == 0

@@ -1,6 +1,10 @@
-import pytest
-from hypothesis import given, strategies as st
+import random
+import time
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 from hookcells import (
     BoxSequence,
     HilbertFunction,
@@ -16,10 +20,14 @@ from hookcells import (
     enumerate_with_diagonal_lengths,
     gaussian_binomial,
     hilbert_functions_upto,
+    hookcode,
     poincare,
     t_invariants,
 )
-from hookcells.errors import NotFound
+from hookcells.errors import NotFound, OutOfRange
+
+# n = 60 and n = 100; (1..10..1) has 19683 shapes
+LARGE_T = (HilbertFunction([*range(1, 11), 5]), HilbertFunction([*range(1, 11), *range(9, 0, -1)]))
 
 
 def test_code_examples():
@@ -220,3 +228,62 @@ def test_empty_and_singleton_shapes():
     single = code(Partition([1]))
     assert single.qs == () and decode([1], single) == Partition([1])
     assert cell_count([]) == 1 and betti_numbers([]) == (1,)
+
+
+def test_code_and_decode_match_the_hook_oracle_on_every_shape_up_to_n_22():
+    for n in range(23):
+        for p in oracles.partitions_of(n):
+            d = code(p)
+            assert d == oracles.code(p)
+            assert decode(p.diagonal_lengths(), d) == p
+
+
+def test_every_code_decodes_to_a_shape_with_that_code():
+    for T in hilbert_functions_upto(16):
+        for d in all_codes(T):
+            assert code(decode(T, d)) == d
+
+
+def test_enumeration_matches_the_depth_first_oracle():
+    for T in hilbert_functions_upto(16):
+        assert enumerate_with_diagonal_lengths(T) == oracles.enumerate_with_diagonal_lengths(T)
+
+
+def random_code(T, draw_entry):
+    """A code with every component drawn into its box by ``draw_entry(cols)``."""
+    qs = tuple(
+        tuple(sorted((draw_entry(cols) for _ in range(rows)), reverse=True))
+        for rows, cols in BoxSequence(T).boxes
+    )
+    return HookCode(T.mu, T.j, qs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LARGE_T), st.data())
+def test_decode_round_trips_random_codes_of_large_T(T, data):
+    d = random_code(T, lambda cols: data.draw(st.integers(0, cols)))
+    p = decode(T, d)
+    assert p.diagonal_lengths() == T
+    assert oracles.code(p) == d
+
+
+def test_decode_at_n_100_takes_microseconds():
+    """300 decodes at n = 100 take about 25 ms on a shared 2-core machine,
+    so the 1 s bound catches a return to a per-T table, whose build took
+    34 s there."""
+    T = LARGE_T[1]
+    rng = random.Random(3)
+    codes = [random_code(T, lambda cols: rng.randint(0, cols)) for _ in range(300)]
+    start = time.perf_counter()
+    shapes = [decode(T, d) for d in codes]
+    assert time.perf_counter() - start < 1
+    assert [code(p) for p in shapes] == codes
+
+
+def test_enumeration_refuses_T_above_the_cell_limit():
+    assert cell_count(LARGE_T[1]) == 19683 <= hookcode.MAX_CELLS
+    # 3^29 cells: refused before any code is built
+    T = [*range(1, 31), *range(29, 0, -1)]
+    for enumerate_ in (all_codes, enumerate_with_diagonal_lengths):
+        with pytest.raises(OutOfRange, match="more than the limit"):
+            enumerate_(T)

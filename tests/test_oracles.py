@@ -166,7 +166,7 @@ def poly_matrices(draw):
 def test_det_matches_laplace_oracle(case):
     m, singular = case
     got = unipoly.det(m)
-    assert got == oracles.laplace_det(m)
+    assert got == oracles.laplace_det(m) == oracles.det_multimodular(m)
     if singular:
         assert got == [0]
     if m:

@@ -60,7 +60,7 @@ def test_enumerate_examples():
     ]
     assert [p.parts for p in enumerate_with_diagonal_lengths([1])] == [(1,)]
     assert len(enumerate_with_diagonal_lengths([1, 2, 3, 2, 1])) == 9
-    # the depth-first search itself emits descending lexicographic order
+    # enumeration sorts the decoded shapes in descending lexicographic order
     for T in hilbert_functions_upto(16):
         shapes = [p.parts for p in enumerate_with_diagonal_lengths(T)]
         assert shapes == sorted(shapes, reverse=True)

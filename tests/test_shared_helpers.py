@@ -91,18 +91,27 @@ def test_gaussian_binomial_reuses_its_cache():
 
 
 def test_code_checks_hand_counts_with_an_internal_error(monkeypatch):
-    # hooks of a different shape contradict the boxes of the real one
-    monkeypatch.setattr(hookcode, "hooks", lambda p: Partition([6, 1]).hooks())
+    # the boxes of a different shape contradict the hands of the real one
+    other = BoxSequence(Partition([6, 1]).diagonal_lengths())
+    monkeypatch.setattr(hookcode, "BoxSequence", lambda T: other)
     with pytest.raises(InternalError):
         hookcode.code(Partition([5, 2, 1, 1]))
+
+
+def test_decode_checks_the_diagonal_lengths_with_an_internal_error(monkeypatch):
+    # a walk read back as another shape contradicts T
+    monkeypatch.setattr(hookcode, "Partition", lambda parts: Partition([6, 1]))
+    with pytest.raises(InternalError, match="decoded to"):
+        hookcode.decode([1, 2, 3, 2, 1], HookCode(3, 4, ((0,), (2,))))
 
 
 def test_code_check_runs_under_python_O():
     """The hook-code invariant is no ``assert``: it still raises under ``-O``."""
     script = (
-        "from hookcells import Partition, hookcode\n"
+        "from hookcells import BoxSequence, Partition, hookcode\n"
         "from hookcells.errors import InternalError\n"
-        "hookcode.hooks = lambda p: Partition([6, 1]).hooks()\n"
+        "other = BoxSequence(Partition([6, 1]).diagonal_lengths())\n"
+        "hookcode.BoxSequence = lambda T: other\n"
         "try:\n"
         "    hookcode.code(Partition([5, 2, 1, 1]))\n"
         "except InternalError:\n"
