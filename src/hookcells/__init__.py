@@ -54,7 +54,6 @@ from .errors import (
     ZeroForm,
 )
 from .hookcode import (
-    BoxSequence,
     HookCode,
     all_codes,
     betti_numbers,
@@ -73,7 +72,6 @@ from .partitions import (
     TInvariants,
     count_hooks_diff,
     diagonal_lengths,
-    dual,
     enumerate_with_diagonal_lengths,
     hilbert_functions_upto,
     hooks,

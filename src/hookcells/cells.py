@@ -13,6 +13,7 @@ x-power: 1 < y < x < y^2 < x*y < x^2 < ...
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -374,14 +375,12 @@ def dims(E: MonomialIdeal) -> CellDims:
     """Cell dimension four ways; the two routes to dim V(E) must agree."""
     P = E.partition
     inv = t_invariants(E.hilbert_function)
-    h1 = sum(1 for h in hooks(P) if h.difference == 1)
-    hm1 = sum(1 for h in hooks(P) if h.difference == -1)
-    h0 = sum(1 for h in hooks(P) if h.difference == 0)
-    z = inv.n - hm1 - h0
+    count = Counter(h.difference for h in hooks(P))
+    z = inv.n - count[-1] - count[0]
     v = z - inv.f_t
-    if v != h1:
-        raise InternalError(f"cell dimension formulas disagree for {E}: {v} != {h1}")
-    return CellDims(h1, hm1, z, v)
+    if v != count[1]:
+        raise InternalError(f"cell dimension formulas disagree for {E}: {v} != {count[1]}")
+    return CellDims(count[1], count[-1], z, v)
 
 
 def big_cell(T) -> MonomialIdeal:

@@ -128,11 +128,10 @@ def cmd_code(args):
 
 def cmd_decode(args):
     T = partitions.HilbertFunction(args.T)
-    bx = hookcode.BoxSequence(T)
-    if len(args.code) != len(bx.boxes):
-        raise NotFound(f"code {args.code} needs {len(bx.boxes)} components for {list(T.t)}")
+    if len(args.code) != len(T.boxes):
+        raise NotFound(f"code {args.code} needs {len(T.boxes)} components for {list(T.t)}")
     padded = tuple(
-        tuple(q) + (0,) * (rows - len(q)) for q, (rows, _cols) in zip(args.code, bx.boxes)
+        tuple(q) + (0,) * (rows - len(q)) for q, (rows, _cols) in zip(args.code, T.boxes)
     )
     d = hookcode.HookCode(T.mu, T.j, padded)
     p = hookcode.decode(T, d)

@@ -3,10 +3,10 @@
 For a shape with diagonal lengths T, the degree-i component of the code
 records how the difference-one hooks with hand degree i are distributed over
 the hand monomials, hands taken in order of decreasing x-power.  The
-component fits in a rectangle with ``t_i - t_{i+1}`` rows of width
-``1 + t_{i-1} - t_i``; the code is a bijection from the shapes of diagonal
-lengths T onto all box-bounded sequences, turns duals into complements, and
-its total length is the number of difference-one hooks.
+component fits in the degree-i box of ``T.boxes``: ``t_i - t_{i+1}`` rows of
+width ``1 + t_{i-1} - t_i``.  The code is a bijection from the shapes of
+diagonal lengths T onto all box-bounded sequences, turns duals into
+complements, and its total length is the number of difference-one hooks.
 
 :func:`code` reads the code off the boundary walk of the shape, and
 :func:`decode` builds that walk from the code.
@@ -24,31 +24,6 @@ from .errors import InternalError, NotFound, OutOfRange
 from .partitions import Partition, _index, as_hilbert, box_complement, box_partitions
 
 
-class BoxSequence:
-    """The bounding rectangles, one per degree from mu to j."""
-
-    def __init__(self, T):
-        T = as_hilbert(T)
-        self.mu = T.mu
-        self.j = T.j
-        self.boxes = tuple(
-            (T.value(i) - T.value(i + 1), 1 + T.delta(i)) for i in range(T.mu, T.j + 1)
-        )
-
-    def box(self, i: int) -> tuple[int, int]:
-        """(rows, cols) of the degree-i rectangle."""
-        return self.boxes[i - self.mu]
-
-    def fits(self, code: "HookCode") -> bool:
-        if (code.mu, code.j) != (self.mu, self.j) or len(code.qs) != len(self.boxes):
-            return False
-        return all(
-            len(q) == rows and all(cols >= q[k] >= 0 for k in range(rows))
-            and all(q[k] >= q[k + 1] for k in range(rows - 1))
-            for q, (rows, cols) in zip(code.qs, self.boxes)
-        )
-
-
 @dataclass(frozen=True)
 class HookCode:
     """A sequence of box-bounded partitions, indexed by degree mu..j.
@@ -64,9 +39,6 @@ class HookCode:
     @property
     def length(self) -> int:
         return sum(sum(q) for q in self.qs)
-
-    def component(self, i: int) -> tuple[int, ...]:
-        return self.qs[i - self.mu]
 
     def to_json(self):
         return {"mu": self.mu, "j": self.j, "qs": [list(q) for q in self.qs]}
@@ -91,7 +63,6 @@ def code(p: Partition) -> HookCode:
     the walk never carries a hook and is dropped.
     """
     T = p.diagonal_lengths()
-    bx = BoxSequence(T)
     east = [0] * (T.j + 2)  # east steps out of each level so far
     hands: dict[int, list[int]] = {}
     x = 0
@@ -101,14 +72,14 @@ def code(p: Partition) -> HookCode:
         x = p[r]
         hands.setdefault(x + r - 1, []).append(east[x + r - 1])
     qs = []
-    for i, (rows, _cols) in enumerate(bx.boxes, bx.mu):
+    for i, (rows, _cols) in enumerate(T.boxes, T.mu):
         counts = hands.get(i, [])[::-1]
         if len(counts) == rows + 1 and counts[-1] == 0:
             counts.pop()
         if len(counts) != rows:
             raise InternalError(f"shape {list(p.parts)}, degree {i}: counts {counts}, {rows} rows")
         qs.append(tuple(counts))
-    return HookCode(bx.mu, bx.j, tuple(qs))
+    return HookCode(T.mu, T.j, tuple(qs))
 
 
 def decode(T, d: HookCode) -> Partition:
@@ -123,12 +94,14 @@ def decode(T, d: HookCode) -> Partition:
     most 2j + 4 points.
     """
     T = as_hilbert(T)
-    bx = BoxSequence(T)
-    if not bx.fits(d):
+    mu, boxes = T.mu, T.boxes
+    if (d.mu, d.j) != (mu, T.j) or len(d.qs) != len(boxes) or not all(
+        len(q) == rows and all(cols >= a >= b >= 0 for a, b in zip(q, (*q[1:], 0)))
+        for q, (rows, cols) in zip(d.qs, boxes)
+    ):
         raise NotFound(f"code {d} does not fit the boxes of {list(T.t)}")
-    mu = T.mu
     rows = 1 + max((i for i, q in enumerate(d.qs, mu) if 0 in q), default=mu - 1)
-    widths = enumerate(zip(d.qs, bx.boxes), mu)
+    widths = enumerate(zip(d.qs, boxes), mu)
     top = 1 + max((i for i, (q, (_rows, cols)) in widths if cols in q), default=mu - 1)
     walk = [*range(rows, mu, -1), *range(mu, top + 1)]
     for c, q in enumerate(((0,) * (mu - T.value(mu)),) + d.qs, mu):
@@ -151,7 +124,7 @@ def decode(T, d: HookCode) -> Partition:
 def complement(T, d: HookCode) -> HookCode:
     """Componentwise complement inside the bounding boxes."""
     T = as_hilbert(T)
-    qs = tuple(box_complement(q, rows, cols) for q, (rows, cols) in zip(d.qs, BoxSequence(T).boxes))
+    qs = tuple(box_complement(q, rows, cols) for q, (rows, cols) in zip(d.qs, T.boxes))
     return HookCode(T.mu, T.j, qs)
 
 
@@ -169,7 +142,7 @@ def all_codes(T) -> tuple[HookCode, ...]:
         raise OutOfRange(f"T = {list(T.t)} has {count} cells, more than the limit {MAX_CELLS}")
     pools = [
         [q + (0,) * (rows - len(q)) for q in box_partitions(rows, cols)]
-        for rows, cols in BoxSequence(T).boxes
+        for rows, cols in T.boxes
     ]
     return tuple(HookCode(T.mu, T.j, seq) for seq in product(*pools))
 
@@ -194,7 +167,7 @@ def gaussian_binomial(a: int, b: int) -> tuple[int, ...]:
 
 def poincare_factors(T) -> tuple[tuple[int, ...], ...]:
     """One q-binomial per degree: the Betti numbers of each small Grassmannian."""
-    return tuple(gaussian_binomial(rows, cols) for rows, cols in BoxSequence(T).boxes)
+    return tuple(gaussian_binomial(rows, cols) for rows, cols in as_hilbert(T).boxes)
 
 
 def betti_numbers(T) -> tuple[int, ...]:
@@ -217,4 +190,4 @@ def poincare(T) -> tuple[int, ...]:
 def cell_count(T) -> int:
     """Product-of-binomials count of shapes with diagonal lengths ``T``: one
     binomial per box, the number of partitions that fit it."""
-    return prod(comb(rows + cols, rows) for rows, cols in BoxSequence(T).boxes)
+    return prod(comb(rows + cols, rows) for rows, cols in as_hilbert(T).boxes)

@@ -132,9 +132,6 @@ class Partition:
     def diagonal_lengths(self) -> "HilbertFunction":
         return diagonal_lengths(self)
 
-    def hooks(self) -> tuple["Hook", ...]:
-        return hooks(self)
-
     def to_json(self):
         return list(self.parts)
 
@@ -202,10 +199,13 @@ class HilbertFunction:
     empty sequence is allowed and corresponds to the empty partition.
     ``mu``, the order, is the first degree where the sequence leaves the
     staircase: the first i with t_i <= i, reading t_i = 0 past the end.
+    ``boxes`` holds one (rows, cols) = (t_i - t_{i+1}, 1 + t_{i-1} - t_i) per
+    degree i = mu..j, the box of a factor Grass(rows, rows + cols) of SGrass(T).
     """
 
     t: tuple[int, ...]
     mu: int = field(compare=False, repr=False)
+    boxes: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
 
     def __init__(self, t=()):
         t = tuple(_index(x, "Hilbert function value", InvalidT) for x in t)
@@ -217,8 +217,11 @@ class HilbertFunction:
             raise InvalidT(f"tail of {t} is not weakly decreasing")
         if t and t[-1] < 1:
             raise InvalidT(f"last entry of {t} must be positive")
+        v = t + (0,)
+        boxes = tuple((v[i] - v[i + 1], 1 + v[i - 1] - v[i]) for i in range(mu, len(t)))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "boxes", boxes)
 
     def __len__(self):
         return len(self.t)
@@ -302,10 +305,6 @@ def diagonal_lengths(p: Partition) -> HilbertFunction:
         return HilbertFunction(p.diagonal_profile())
     except InvalidT as exc:  # pragma: no cover - impossible for partitions
         raise NonAdmissible(str(exc)) from exc
-
-
-def dual(p: Partition) -> Partition:
-    return p.dual()
 
 
 @lru_cache(maxsize=None)

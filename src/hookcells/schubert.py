@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BoxMismatch, DimensionMismatch, MalformedE, ShapeMismatch
+from .errors import BoxMismatch, DimensionMismatch, MalformedE, OutOfRange, ShapeMismatch
 from .partitions import _index, ramification_partition, signed_sum
 
 
@@ -217,14 +217,22 @@ def pieri_multiply(x: SchubertClass) -> SchubertClass:
     ])
 
 
+# Largest dimension d(n - d) that grass_degree accepts (README, "Class rings").
+MAX_GRASS_DIM = 64
+
+
 def grass_degree(d: int, n: int) -> int:
     """Self-intersection number of the hyperplane class on Grass(d, n),
-    equal to the degree of its Pluecker embedding."""
+    equal to the degree of its Pluecker embedding; ``OutOfRange`` when
+    d(n - d) is above ``MAX_GRASS_DIM``."""
     if not 1 <= d <= n:
         raise DimensionMismatch(f"need 1 <= d <= n, got ({d}, {n})")
+    dim = d * (n - d)
+    if dim > MAX_GRASS_DIM:
+        raise OutOfRange(f"Grass({d}, {n}) has dimension {dim}, more than the limit {MAX_GRASS_DIM}")
     box = (d, n - d)
     acc = SchubertClass.one(box)
-    for _ in range(d * (n - d)):
+    for _ in range(dim):
         acc = pieri_multiply(acc)
     return acc.point_coefficient()
 

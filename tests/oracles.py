@@ -12,8 +12,9 @@ product that counts the tableaux of every shape in the box, products,
 pushforwards and pullbacks of cell classes summed in dicts, with every
 binomial spread taken over its whole range, every partition of n by
 recursion on the largest part, the hook code read off the hooks of a shape,
-and a depth-first search for the shapes of given diagonal lengths.  They
-share no code with the paths they check.
+the boxes of T and the box check of a code, both read off ``T.value``, and a
+depth-first search for the shapes of given diagonal lengths.  They share no
+code with the paths they check.
 
 A multi-modular determinant of integer polynomial matrices, by elimination
 modulo 62-bit primes, interpolation and Chinese remaindering, checks
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from hookcells import (
-    AmbientClass, BinaryForm, BoxSequence, BundleClass, FormSpace, HookCode, Partition, SchubertClass, pair_set_S,
+    AmbientClass, BinaryForm, BundleClass, FormSpace, HookCode, Partition, SchubertClass, pair_set_S,
 )
 from hookcells.errors import InternalError
 from hookcells.partitions import as_hilbert, box_complement, box_partitions, hooks
@@ -599,6 +600,28 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in _partitions_of(n, n))
 
 
+def boxes(T) -> tuple[tuple[int, int], ...]:
+    """The (rows, cols) = (t_i - t_{i+1}, 1 + t_{i-1} - t_i) box of each
+    degree i = mu..j."""
+    T = as_hilbert(T)
+    v = T.value
+    return tuple((v(i) - v(i + 1), 1 + v(i - 1) - v(i)) for i in range(T.mu, T.j + 1))
+
+
+def fits(T, code: HookCode) -> bool:
+    """Whether ``code`` has the degrees of ``T`` and each component is a
+    zero-padded partition in its box."""
+    T = as_hilbert(T)
+    bx = boxes(T)
+    if (code.mu, code.j) != (T.mu, T.j) or len(code.qs) != len(bx):
+        return False
+    return all(
+        len(q) == rows and all(cols >= q[k] >= 0 for k in range(rows))
+        and all(q[k] >= q[k + 1] for k in range(rows - 1))
+        for q, (rows, cols) in zip(code.qs, bx)
+    )
+
+
 def code(p: Partition) -> HookCode:
     """Hook code of a shape.
 
@@ -609,7 +632,6 @@ def code(p: Partition) -> HookCode:
     and is dropped.
     """
     T = p.diagonal_lengths()
-    bx = BoxSequence(T)
     by_hand: dict[tuple[int, int], int] = {}
     hands_by_deg: dict[int, set] = {}
     for h in hooks(p):
@@ -618,7 +640,7 @@ def code(p: Partition) -> HookCode:
             by_hand[h.hand] = by_hand.get(h.hand, 0) + 1
     qs = []
     for i in range(T.mu, T.j + 1):
-        rows, _cols = bx.box(i)
+        rows = T.value(i) - T.value(i + 1)
         hands = sorted(hands_by_deg.get(i, ()), key=lambda rc: rc[0])  # decreasing x-power
         counts = [by_hand.get(h, 0) for h in hands]
         if len(counts) == rows + 1 and counts[-1] == 0:

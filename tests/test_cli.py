@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -65,6 +66,15 @@ def test_grass_degree(capsys):
     code, out, _ = run(capsys, "grass", "degree", "--d", "2", "--n", "4")
     assert code == 0
     assert out.strip() == "2"
+
+
+def test_grass_degree_above_the_limit_is_a_domain_error(capsys):
+    # d(n - d) = 225 Pieri steps would run for minutes: refused before any
+    start = time.perf_counter()
+    code, out, err = run(capsys, "grass", "degree", "--d", "15", "--n", "30")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("OutOfRange") and "Traceback" not in err
 
 
 def test_ring_mul(capsys):

@@ -1,12 +1,12 @@
 import random
 import time
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from hookcells import (
-    BoxSequence,
     HilbertFunction,
     HookCode,
     Partition,
@@ -56,11 +56,23 @@ def test_complement_examples():
     assert complement([1, 2, 3, 2, 1], full).qs == ((0,), (0,))
 
 
-def test_box_sequence():
-    bx = BoxSequence(HilbertFunction([1, 2, 3, 2, 1]))
-    assert bx.boxes == ((1, 2), (1, 2))
-    assert bx.fits(HookCode(3, 4, ((2,), (1,))))
-    assert not bx.fits(HookCode(3, 4, ((3,), (1,))))
+def test_boxes_of_T():
+    T = HilbertFunction([1, 2, 3, 2, 1])
+    assert T.boxes == ((1, 2), (1, 2))
+    assert decode(T, HookCode(3, 4, ((2,), (1,)))) == Partition([4, 4, 1])
+    with pytest.raises(NotFound, match="does not fit the boxes"):
+        decode(T, HookCode(3, 4, ((3,), (1,))))
+
+
+def test_boxes_are_the_factors_of_sgrass():
+    """Each box is a factor Grass(rows, rows + cols) of SGrass(T): their
+    dimensions add up to dim G_T and their cell counts multiply to the
+    number of shapes, found by the search oracle."""
+    for T in hilbert_functions_upto(14):
+        assert T.boxes == oracles.boxes(T)
+        assert sum(rows * cols for rows, cols in T.boxes) == t_invariants(T).dim_gt
+        shapes = oracles.enumerate_with_diagonal_lengths(T)
+        assert prod(comb(rows + cols, rows) for rows, cols in T.boxes) == len(shapes)
 
 
 def test_gaussian_binomial_examples():
@@ -253,9 +265,69 @@ def random_code(T, draw_entry):
     """A code with every component drawn into its box by ``draw_entry(cols)``."""
     qs = tuple(
         tuple(sorted((draw_entry(cols) for _ in range(rows)), reverse=True))
-        for rows, cols in BoxSequence(T).boxes
+        for rows, cols in T.boxes
     )
     return HookCode(T.mu, T.j, qs)
+
+
+@st.composite
+def hilbert_functions(draw, max_n=30):
+    """An admissible T with n(T) <= max_n: the staircase up to mu, then a
+    weakly decreasing tail of values at most mu."""
+    mu = draw(st.integers(1, 7))
+    budget, top, tail = max_n - mu * (mu + 1) // 2, mu, []
+    while budget and draw(st.booleans()):
+        top = draw(st.integers(1, min(top, budget)))
+        tail.append(top)
+        budget -= top
+    return HilbertFunction([*range(1, mu + 1), *tail])
+
+
+# the ways a code is made to miss its boxes, each with the number of box
+# rows that the component it changes needs; "none" leaves the code fitting
+NEAR_MISSES = {
+    "none": None, "mu": None, "j": None, "extra": None, "missing": 0, "longer": 0,
+    "shorter": 1, "above": 1, "negative": 1, "increasing": 2,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(hilbert_functions(), st.sampled_from(list(NEAR_MISSES)), st.data())
+def test_decode_refuses_exactly_the_codes_the_fit_oracle_refuses(T, kind, data):
+    qs = [list(q) for q in random_code(T, lambda cols: data.draw(st.integers(0, cols))).qs]
+    mu, j = T.mu, T.j
+    need = NEAR_MISSES[kind]
+    ks = [k for k, q in enumerate(qs) if need is not None and len(q) >= need]
+    k = data.draw(st.sampled_from(ks)) if ks else None
+    if kind == "mu":
+        mu += data.draw(st.sampled_from((-1, 1)))
+    elif kind == "j":
+        j += data.draw(st.sampled_from((-1, 1)))
+    elif kind == "extra":
+        qs.insert(data.draw(st.integers(0, len(qs))), [0] * data.draw(st.integers(0, 2)))
+    elif k is None:
+        pass
+    elif kind == "missing":
+        del qs[k]
+    elif kind == "longer":
+        qs[k].append(0)
+    elif kind == "shorter":
+        qs[k].pop()
+    elif kind == "above":
+        qs[k][0] = oracles.boxes(T)[k][1] + 1
+    elif kind == "negative":
+        qs[k][-1] = -1
+    else:
+        e = data.draw(st.integers(0, len(qs[k]) - 2))
+        qs[k][e + 1] = qs[k][e] + 1
+    d = HookCode(mu, j, tuple(map(tuple, qs)))
+    missed = kind in ("mu", "j", "extra") or k is not None
+    assert oracles.fits(T, d) == (not missed)
+    if missed:
+        with pytest.raises(NotFound, match="does not fit the boxes"):
+            decode(T, d)
+    else:
+        assert oracles.code(decode(T, d)) == d
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,8 @@ from hookcells import (
     pieri_multiply,
     qram_of_monomial_space,
 )
-from hookcells.errors import BoxMismatch, DimensionMismatch, MalformedE
+from hookcells.errors import BoxMismatch, DimensionMismatch, MalformedE, OutOfRange
+from hookcells.schubert import MAX_GRASS_DIM
 from hookcells.partitions import box_partitions as _box_partitions
 from hookcells.schubert import _lr_fillings
 import oracles
@@ -60,6 +61,13 @@ def test_grass_degree_closed_form():
     for n in range(1, 13):
         for d in range(1, n + 1):
             assert grass_degree(d, n) == plucker_degree(d, n)
+
+
+def test_grass_degree_refuses_dimensions_above_the_limit():
+    assert grass_degree(1, MAX_GRASS_DIM + 1) == 1  # d(n - d) at the limit
+    for d, n in [(1, MAX_GRASS_DIM + 2), (9, 17), (15, 30)]:
+        with pytest.raises(OutOfRange, match="more than the limit"):
+            grass_degree(d, n)
 
 
 def test_degree_covering_discrepancy_documented():

@@ -9,13 +9,13 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import hookcells
 from hookcells import (
     BinaryForm,
-    BoxSequence,
     BundleClass,
     CellParams,
     FormSpace,
@@ -61,7 +61,7 @@ def test_box_partitions_match_the_old_generator(rows):
 
 def test_all_codes_pads_every_component_to_its_box():
     T = HilbertFunction([1, 2, 3, 3, 2, 1])
-    boxes = BoxSequence(T).boxes
+    boxes = T.boxes
     codes = all_codes(T)
     assert len(codes) == len(set(codes))
     for d in codes:
@@ -77,7 +77,7 @@ def test_complement_is_the_box_complement_of_each_component():
     for d in all_codes(T):
         c = complement(T, d)
         assert c.qs == tuple(
-            box_complement(q, rows, cols) for q, (rows, cols) in zip(d.qs, BoxSequence(T).boxes)
+            box_complement(q, rows, cols) for q, (rows, cols) in zip(d.qs, T.boxes)
         )
         assert complement(T, c) == d
 
@@ -92,8 +92,9 @@ def test_gaussian_binomial_reuses_its_cache():
 
 def test_code_checks_hand_counts_with_an_internal_error(monkeypatch):
     # the boxes of a different shape contradict the hands of the real one
-    other = BoxSequence(Partition([6, 1]).diagonal_lengths())
-    monkeypatch.setattr(hookcode, "BoxSequence", lambda T: other)
+    T = Partition([5, 2, 1, 1]).diagonal_lengths()
+    other = SimpleNamespace(mu=T.mu, j=T.j, boxes=Partition([6, 1]).diagonal_lengths().boxes[:2])
+    monkeypatch.setattr(Partition, "diagonal_lengths", lambda self: other)
     with pytest.raises(InternalError):
         hookcode.code(Partition([5, 2, 1, 1]))
 
@@ -108,10 +109,13 @@ def test_decode_checks_the_diagonal_lengths_with_an_internal_error(monkeypatch):
 def test_code_check_runs_under_python_O():
     """The hook-code invariant is no ``assert``: it still raises under ``-O``."""
     script = (
-        "from hookcells import BoxSequence, Partition, hookcode\n"
+        "from types import SimpleNamespace\n"
+        "from hookcells import Partition, hookcode\n"
         "from hookcells.errors import InternalError\n"
-        "other = BoxSequence(Partition([6, 1]).diagonal_lengths())\n"
-        "hookcode.BoxSequence = lambda T: other\n"
+        "T = Partition([5, 2, 1, 1]).diagonal_lengths()\n"
+        "boxes = Partition([6, 1]).diagonal_lengths().boxes[:2]\n"
+        "other = SimpleNamespace(mu=T.mu, j=T.j, boxes=boxes)\n"
+        "Partition.diagonal_lengths = lambda self: other\n"
         "try:\n"
         "    hookcode.code(Partition([5, 2, 1, 1]))\n"
         "except InternalError:\n"
