@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from . import linalg
 from .binforms import BinaryForm, FormSpace, PointP1, POINT_X, change_basis, ram_data
-from .errors import InconsistentParams, InternalError, InvalidT, NotAnIdeal, NotInBigCell
+from .errors import InconsistentParams, InternalError, NotAnIdeal, NotInBigCell
+from .hookcode import HookCode, decode
 from .partitions import (
     HilbertFunction, Partition, _rational, as_hilbert, hooks, ramification_partition, t_invariants,
 )
@@ -78,17 +79,6 @@ class MonomialIdeal:
         return tuple(
             m for m in ((degree - yp, yp) for yp in range(degree + 1)) if self.contains(m)
         )
-
-    def generators(self) -> tuple[Monomial, ...]:
-        """Minimal monomial generators."""
-        parts = self.partition.parts
-        gens = [(0, len(parts))]
-        prev = None
-        for r, pr in enumerate(parts):
-            if prev is None or pr < prev:
-                gens.append((pr, r))
-            prev = pr
-        return tuple(sorted(gens, key=mono_key))
 
     def dual(self) -> "MonomialIdeal":
         """Swap the variables x and y."""
@@ -384,21 +374,13 @@ def dims(E: MonomialIdeal) -> CellDims:
 
 
 def big_cell(T) -> MonomialIdeal:
-    """The dense cell: the unique shape with distinct parts."""
+    """The dense cell: the shape whose hook code fills every box, so its
+    dimension is dim G_T.  It is the unique shape with distinct parts."""
     T = as_hilbert(T)
-    if not T.t:
-        return MonomialIdeal(Partition())
-    parts = []
-    r = 0
-    while True:
-        ds = [d for d in range(T.j + 1) if T.value(d) >= r + 1]
-        if not ds:
-            break
-        parts.append(max(ds) - r + 1)
-        r += 1
-    E = MonomialIdeal(Partition(parts))
-    if E.hilbert_function != T or len(set(parts)) != len(parts):
-        raise InvalidT(f"no distinct-parts shape with diagonal lengths {list(T.t)}")
+    E = MonomialIdeal(decode(T, HookCode(T.mu, T.j, tuple((cols,) * rows for rows, cols in T.boxes))))
+    parts = E.partition.parts
+    if len(set(parts)) != len(parts):
+        raise InternalError(f"dense cell {list(parts)} of {list(T.t)} has a repeated part")
     return E
 
 

@@ -15,7 +15,7 @@ import sys
 from itertools import groupby
 
 from . import binforms, cells, hookcode, partitions, schubert, secant
-from .errors import HookcellsError, InputFileError, NotFound
+from .errors import HookcellsError, InputFileError
 
 
 def dumps(data) -> str:
@@ -44,12 +44,13 @@ def _code(text):
 
 
 def _typed(parse, expected):
-    """Options of a flag parsed by ``parse``: any failure is a usage error."""
+    """Options of a flag parsed by ``parse``: any failure, JSON nested too
+    deeply for the parser included, is a usage error."""
 
     def convert(text):
         try:
             return parse(text)
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, RecursionError):
             raise argparse.ArgumentTypeError(f"invalid {text!r}: expected {expected}") from None
 
     return {"type": convert, "help": expected}
@@ -57,13 +58,13 @@ def _typed(parse, expected):
 
 def _load_json(path, parse):
     """``parse`` applied to the JSON file at ``path``.  An unreadable file,
-    bad JSON or a payload that ``parse`` cannot read (a missing key, a wrong
-    type or value) is an :class:`InputFileError` naming the file; a domain
-    error raised by ``parse`` passes through unchanged."""
+    bad or too deeply nested JSON or a payload that ``parse`` cannot read (a
+    missing key, a wrong type or value) is an :class:`InputFileError` naming
+    the file; a domain error raised by ``parse`` passes through unchanged."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
     try:
         return parse(data)
@@ -128,13 +129,9 @@ def cmd_code(args):
 
 def cmd_decode(args):
     T = partitions.HilbertFunction(args.T)
-    if len(args.code) != len(T.boxes):
-        raise NotFound(f"code {args.code} needs {len(T.boxes)} components for {list(T.t)}")
-    padded = tuple(
-        tuple(q) + (0,) * (rows - len(q)) for q, (rows, _cols) in zip(args.code, T.boxes)
-    )
-    d = hookcode.HookCode(T.mu, T.j, padded)
-    p = hookcode.decode(T, d)
+    # short components are padded with zeros; decode refuses any other misfit
+    padded = [q + [0] * (rows - len(q)) for q, (rows, _cols) in zip(args.code, T.boxes)]
+    p = hookcode.decode(T, hookcode.HookCode(T.mu, T.j, padded + args.code[len(T.boxes):]))
     _emit(args, p.to_json(), [",".join(map(str, p.parts))])
 
 

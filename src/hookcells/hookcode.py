@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import comb, prod
 
 from . import unipoly
 from .errors import InternalError, NotFound, OutOfRange
-from .partitions import Partition, _index, as_hilbert, box_complement, box_partitions
+from .partitions import Partition, _index, _list, as_hilbert, box_complement, box_partitions
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,22 @@ class HookCode:
     """A sequence of box-bounded partitions, indexed by degree mu..j.
 
     Components are stored zero-padded to the full number of box rows, so
-    membership in the box is a plain shape check.
+    membership in the box is a plain shape check.  ``mu``, ``j`` and every
+    entry are read as integers, and the components are stored as tuples: a
+    float, a boolean or a string among them raises ValueError.
     """
 
     mu: int
     j: int
     qs: tuple[tuple[int, ...], ...]
+
+    def __init__(self, mu, j, qs):
+        qs = tuple(map(tuple, qs))
+        if not {int}.issuperset(map(type, chain.from_iterable(qs))):
+            qs = tuple(tuple([_index(v, "code entry") for v in q]) for q in qs)
+        object.__setattr__(self, "mu", mu if type(mu) is int else _index(mu, "mu"))
+        object.__setattr__(self, "j", j if type(j) is int else _index(j, "j"))
+        object.__setattr__(self, "qs", qs)
 
     @property
     def length(self) -> int:
@@ -45,10 +55,7 @@ class HookCode:
 
     @classmethod
     def from_json(cls, data) -> "HookCode":
-        return cls(
-            _index(data["mu"], "mu"), _index(data["j"], "j"),
-            tuple(tuple(_index(v, "code entry") for v in q) for q in data["qs"]),
-        )
+        return cls(data["mu"], data["j"], [_list(q, "code component") for q in _list(data["qs"], "qs")])
 
 
 def code(p: Partition) -> HookCode:
@@ -82,6 +89,19 @@ def code(p: Partition) -> HookCode:
     return HookCode(T.mu, T.j, tuple(qs))
 
 
+def _fitted(T, d: HookCode):
+    """``T`` as a HilbertFunction when ``d`` fits its boxes: the degrees
+    mu..j of ``T`` and one component per box, each a weakly decreasing
+    sequence of ``rows`` entries between 0 and ``cols``.  NotFound otherwise."""
+    T = as_hilbert(T)
+    if (d.mu, d.j) != (T.mu, T.j) or len(d.qs) != len(T.boxes) or not all(
+        len(q) == rows and all(cols >= a >= b >= 0 for a, b in zip(q, (*q[1:], 0)))
+        for q, (rows, cols) in zip(d.qs, T.boxes)
+    ):
+        raise NotFound(f"code {d} does not fit the boxes of {list(T.t)}")
+    return T
+
+
 def decode(T, d: HookCode) -> Partition:
     """The unique shape of diagonal lengths ``T`` with hook code ``d``.
 
@@ -93,13 +113,8 @@ def decode(T, d: HookCode) -> Partition:
     ``Q_{c-1}``, reading ``Q_{mu-1}`` as mu - t_mu zeros.  The walk has at
     most 2j + 4 points.
     """
-    T = as_hilbert(T)
+    T = _fitted(T, d)
     mu, boxes = T.mu, T.boxes
-    if (d.mu, d.j) != (mu, T.j) or len(d.qs) != len(boxes) or not all(
-        len(q) == rows and all(cols >= a >= b >= 0 for a, b in zip(q, (*q[1:], 0)))
-        for q, (rows, cols) in zip(d.qs, boxes)
-    ):
-        raise NotFound(f"code {d} does not fit the boxes of {list(T.t)}")
     rows = 1 + max((i for i, q in enumerate(d.qs, mu) if 0 in q), default=mu - 1)
     widths = enumerate(zip(d.qs, boxes), mu)
     top = 1 + max((i for i, (q, (_rows, cols)) in widths if cols in q), default=mu - 1)
@@ -122,8 +137,9 @@ def decode(T, d: HookCode) -> Partition:
 
 
 def complement(T, d: HookCode) -> HookCode:
-    """Componentwise complement inside the bounding boxes."""
-    T = as_hilbert(T)
+    """Componentwise complement inside the bounding boxes; NotFound, as in
+    :func:`decode`, for a code that does not fit them."""
+    T = _fitted(T, d)
     qs = tuple(box_complement(q, rows, cols) for q, (rows, cols) in zip(d.qs, T.boxes))
     return HookCode(T.mu, T.j, qs)
 

@@ -12,8 +12,9 @@ product that counts the tableaux of every shape in the box, products,
 pushforwards and pullbacks of cell classes summed in dicts, with every
 binomial spread taken over its whole range, every partition of n by
 recursion on the largest part, the hook code read off the hooks of a shape,
-the boxes of T and the box check of a code, both read off ``T.value``, and a
-depth-first search for the shapes of given diagonal lengths.  They share no
+the boxes of T and the box check of a code, both read off ``T.value``, a
+depth-first search for the shapes of given diagonal lengths, and the dense
+cell built row by row from the largest degree each row reaches.  They share no
 code with the paths they check.
 
 A multi-modular determinant of integer polynomial matrices, by elimination
@@ -32,9 +33,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from hookcells import (
-    AmbientClass, BinaryForm, BundleClass, FormSpace, HookCode, Partition, SchubertClass, pair_set_S,
+    AmbientClass, BinaryForm, BundleClass, FormSpace, HookCode, MonomialIdeal, Partition, SchubertClass,
+    pair_set_S,
 )
-from hookcells.errors import InternalError
+from hookcells.errors import InternalError, InvalidT
 from hookcells.partitions import as_hilbert, box_complement, box_partitions, hooks
 from hookcells.unipoly import _divisors
 
@@ -689,3 +691,22 @@ def enumerate_with_diagonal_lengths(T) -> tuple[Partition, ...]:
 
     rec(0, j + 1, T.n)
     return tuple(out)
+
+
+def big_cell(T) -> MonomialIdeal:
+    """The dense cell: the unique shape with distinct parts."""
+    T = as_hilbert(T)
+    if not T.t:
+        return MonomialIdeal(Partition())
+    parts = []
+    r = 0
+    while True:
+        ds = [d for d in range(T.j + 1) if T.value(d) >= r + 1]
+        if not ds:
+            break
+        parts.append(max(ds) - r + 1)
+        r += 1
+    E = MonomialIdeal(Partition(parts))
+    if E.hilbert_function != T or len(set(parts)) != len(parts):
+        raise InvalidT(f"no distinct-parts shape with diagonal lengths {list(T.t)}")
+    return E

@@ -7,6 +7,7 @@ from hookcells import (
     CellParams,
     GradedIdeal,
     HilbertFunction,
+    HookCode,
     MonomialIdeal,
     Partition,
     PointP1,
@@ -14,6 +15,7 @@ from hookcells import (
     POINT_Y,
     big_cell,
     build_ideal,
+    code,
     count_hooks_diff,
     dims,
     enumerate_with_diagonal_lengths,
@@ -247,6 +249,13 @@ def test_big_cell_examples():
     assert big_cell([1]).partition == Partition([1])
     with pytest.raises(InvalidT):
         big_cell([1, 1, 2])
+
+
+def test_big_cell_is_the_full_code_and_matches_the_search_oracle():
+    for T in hilbert_functions_upto(24):
+        E = big_cell(T)
+        assert E == oracles.big_cell(T)
+        assert code(E.partition) == HookCode(T.mu, T.j, [[cols] * rows for rows, cols in T.boxes])
 
 
 def test_roundtrip_random_params():

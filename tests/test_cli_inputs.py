@@ -18,7 +18,7 @@ FILE_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("problem", ["missing", "bad json", "directory", "not utf-8"])
+@pytest.mark.parametrize("problem", ["missing", "bad json", "directory", "not utf-8", "too deep"])
 @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
 def test_unreadable_input_file_is_a_domain_error(tmp_path, capsys, argv, problem):
     path = tmp_path / "input.json"
@@ -28,6 +28,8 @@ def test_unreadable_input_file_is_a_domain_error(tmp_path, capsys, argv, problem
         path.mkdir()
     elif problem == "not utf-8":
         path.write_bytes(b'{"coeffs": ["\xff"]}')
+    elif problem == "too deep":  # past the JSON parser's recursion limit
+        path.write_text("[" * 100_000 + "]" * 100_000)
     code = main([*argv, str(path)])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
@@ -130,6 +132,7 @@ def test_intersect_outside_any_box_is_a_domain_error(tmp_path, capsys, d, j):
     (["decode", "--T", "1,2,3,2,1", "--code", '[[0],["2"]]'], "--code"),
     (["decode", "--T", "1,2,3,2,1", "--code", "[[0],[2.0]]"], "--code"),
     (["decode", "--T", "1,2,3,2,1", "--code", "[0,2]"], "--code"),
+    (["decode", "--T", "1,2,3,2,1", "--code", "[" * 5000 + "]" * 5000], "--code"),
     (["code", "--partition", "1,2"], "--partition"),
     (["code", "--partition", "2,0"], "--partition"),
     (["code", "--partition", "x"], "--partition"),
@@ -143,8 +146,8 @@ def test_malformed_flag_is_a_usage_error(capsys, argv, flag):
     assert f"argument {flag}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("code", ["[[0]]", "[[0],[2],[1]]", "[[0],[3]]"])
+@pytest.mark.parametrize("code", ["[[0]]", "[[0],[2],[1]]", "[[0],[2],[]]", "[[0],[3]]", "[[0,0],[2]]"])
 def test_code_outside_the_boxes_is_a_domain_error(capsys, code):
     assert main(["decode", "--T", "1,2,3,2,1", "--code", code]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("NotFound: ")
+    assert out == "" and err.startswith("NotFound: code ") and "does not fit the boxes" in err

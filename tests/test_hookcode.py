@@ -43,6 +43,26 @@ def test_decode_examples():
     assert decode([1], HookCode(1, 0, ())) == Partition([1])
 
 
+def test_hookcode_reads_its_fields():
+    T = HilbertFunction([1, 2, 3, 2, 1])
+    d = HookCode(3, 4, [[0], [2]])
+    assert d == HookCode(3, 4, ((0,), (2,))) and d.qs == ((0,), (2,))
+    assert decode(T, d) == Partition([5, 2, 1, 1])
+    assert complement(T, d) == HookCode(3, 4, [[2], [0]])
+
+
+@pytest.mark.parametrize("value", [0.5, 3.0, True, "3"])
+@pytest.mark.parametrize("field", ["mu", "j", "entry"])
+def test_hookcode_refuses_a_non_integer(field, value):
+    fields = {"mu": 3, "j": 4, "qs": [[0], [2]]}
+    if field == "entry":
+        fields["qs"] = [[0], [value]]
+    else:
+        fields[field] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        HookCode(**fields)
+
+
 def test_decode_rejects_oversized_code():
     with pytest.raises(NotFound):
         decode([1, 2, 1], HookCode(2, 2, ((3,),)))
@@ -320,14 +340,16 @@ def test_decode_refuses_exactly_the_codes_the_fit_oracle_refuses(T, kind, data):
     else:
         e = data.draw(st.integers(0, len(qs[k]) - 2))
         qs[k][e + 1] = qs[k][e] + 1
-    d = HookCode(mu, j, tuple(map(tuple, qs)))
+    d = HookCode(mu, j, qs)
     missed = kind in ("mu", "j", "extra") or k is not None
     assert oracles.fits(T, d) == (not missed)
     if missed:
-        with pytest.raises(NotFound, match="does not fit the boxes"):
-            decode(T, d)
+        for refuse in (decode, complement):
+            with pytest.raises(NotFound, match="does not fit the boxes"):
+                refuse(T, d)
     else:
         assert oracles.code(decode(T, d)) == d
+        assert oracles.fits(T, complement(T, d))
 
 
 @settings(max_examples=60, deadline=None)
