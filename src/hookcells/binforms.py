@@ -11,7 +11,7 @@ are ordered ``y^j < x y^(j-1) < ... < x^j`` (increasing x-power), and the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, unipoly
@@ -139,11 +139,17 @@ class FormSpace:
     equal (and hash equally) exactly when they are the same subspace.
     ``basis`` gives the rational echelon rows, each stored row divided by its
     pivot entry.
+
+    A space keeps its integer Wronskian polynomial once
+    :func:`wronskian` or :func:`total_ramification_check` has computed it,
+    so the two share one determinant.  The stored polynomial is not part of
+    equality, hashing, ``repr`` or ``to_json``.
     """
 
     degree: int
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
+    _wronskian: tuple | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, degree: int, forms):
         rows = [self._row(degree, f) for f in forms]
@@ -153,6 +159,7 @@ class FormSpace:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "rows", tuple(map(tuple, red)))
         object.__setattr__(self, "pivots", tuple(piv))
+        object.__setattr__(self, "_wronskian", None)
 
     @staticmethod
     def _row(degree, f):
@@ -318,7 +325,9 @@ def wronskian(space: FormSpace) -> BinaryForm:
 
 def _wronskian_poly(space: FormSpace):
     """``(d * codim, w)``: the Wronskian's degree and the Wronskian at y = 1
-    as an integer polynomial, up to a constant factor.
+    as an integer polynomial, up to a constant factor, with ``w`` a tuple.
+    The first call on a space stores the pair on it and later calls return
+    it.
 
     Row k of the matrix holds the Taylor coefficients f^(k) / k! of the
     stored integer rows, smaller than the derivatives; the factors k! and
@@ -331,6 +340,8 @@ def _wronskian_poly(space: FormSpace):
     B[k][s] = C(s, k).  Its degree is at most max sum S - 2 C(d, 2) =
     d * codim, and ``_wronskian_height`` bounds its coefficients.
     """
+    if space._wronskian is not None:
+        return space._wronskian
     d = space.dim
     if d < 1:
         raise DegenerateBasis("Wronskian needs a nonzero space")
@@ -343,7 +354,8 @@ def _wronskian_poly(space: FormSpace):
         raise InternalError(f"zero Wronskian for the independent basis {space.basis}")
     if len(w) > n_deg + 1:
         raise InternalError(f"Wronskian of degree {len(w) - 1} exceeds dim * codim = {n_deg}")
-    return n_deg, w
+    object.__setattr__(space, "_wronskian", (n_deg, tuple(w)))
+    return space._wronskian
 
 
 def _wronskian_height(space: FormSpace) -> int:
@@ -386,13 +398,17 @@ class RamificationSummary:
 
 
 def total_ramification_check(space: FormSpace) -> RamificationSummary:
-    """Factor the Wronskian over the rationals and cross-check each point.
+    """Find the rational zeros of the Wronskian and cross-check each point.
 
-    Every rational zero of the Wronskian is located by exact root extraction;
-    at each such point the valuation is compared against the total
-    ramification computed independently from the degree sequence.  The
-    multiplicities, together with the degree left in irrational factors, sum
-    to dim * codim.
+    The rational roots of the Wronskian are extracted exactly with
+    ``unipoly.rational_roots`` (and the point y = 0 read off the degree
+    drop); no full factorization is made.  At each such point the
+    multiplicity is compared against the total ramification computed
+    independently from the degree sequence, on every call.  The degree
+    left over, that of the factor without rational roots, is reported as
+    ``irrational_degree``; with the multiplicities it sums to dim * codim.
+    The Wronskian polynomial itself is the one :func:`wronskian` stores on
+    the space, computed here if it is not there yet.
     """
     n_deg, px = _wronskian_poly(space)
     vals = {}

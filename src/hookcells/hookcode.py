@@ -31,7 +31,8 @@ class HookCode:
     Components are stored zero-padded to the full number of box rows, so
     membership in the box is a plain shape check.  ``mu``, ``j`` and every
     entry are read as integers, and the components are stored as tuples: a
-    float, a boolean or a string among them raises ValueError.
+    float, a boolean or a string among them, or a ``qs`` or a component that
+    is not iterable, raises ValueError.
     """
 
     mu: int
@@ -39,7 +40,8 @@ class HookCode:
     qs: tuple[tuple[int, ...], ...]
 
     def __init__(self, mu, j, qs):
-        qs = tuple(map(tuple, qs))
+        if type(qs) is not tuple or not {tuple}.issuperset(map(type, qs)):
+            qs = tuple(_tuple(q, "code component") for q in _tuple(qs, "qs"))
         if not {int}.issuperset(map(type, chain.from_iterable(qs))):
             qs = tuple(tuple([_index(v, "code entry") for v in q]) for q in qs)
         object.__setattr__(self, "mu", mu if type(mu) is int else _index(mu, "mu"))
@@ -56,6 +58,15 @@ class HookCode:
     @classmethod
     def from_json(cls, data) -> "HookCode":
         return cls(data["mu"], data["j"], [_list(q, "code component") for q in _list(data["qs"], "qs")])
+
+
+def _tuple(value, what: str) -> tuple:
+    """``value`` as a tuple; a ValueError naming ``what`` when it is not
+    iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {value!r}") from None
 
 
 def code(p: Partition) -> HookCode:

@@ -18,7 +18,7 @@ from hookcells import (
     wronskian,
 )
 from hookcells import unipoly
-from hookcells.errors import DegenerateBasis
+from hookcells.errors import DegenerateBasis, InternalError
 from hookcells.partitions import box_complement
 import oracles
 from conftest import random_fraction, random_space
@@ -175,6 +175,50 @@ def test_large_wronskian_in_polynomial_time(monkeypatch):
     assert degree == 12 * 17
     assert len(matrix) > unipoly.KRONECKER_MAX
     assert oracles.det_multimodular(matrix) == got
+
+
+def counting_det(monkeypatch, result=None):
+    """Patch ``unipoly.det`` to record the row count of each matrix it is
+    given; it returns ``result`` when that is set, else the determinant."""
+    calls = []
+    det = unipoly.det
+
+    def fake(matrix, *bounds):
+        calls.append(len(matrix))
+        return det(matrix, *bounds) if result is None else result
+
+    monkeypatch.setattr(unipoly, "det", fake)
+    return calls
+
+
+def test_one_determinant_per_space(monkeypatch):
+    """``wronskian`` and ``total_ramification_check`` share one determinant
+    per space, in either order.  The polynomial belongs to the space it was
+    computed on: an equal space built afresh takes its own determinant."""
+    calls = counting_det(monkeypatch)
+    dense = [[1, 2, 0, -1, 3, 0], [0, 1, 1, 2, -2, 5], [4, 0, -3, 0, 1, 1]]
+    two_point = [[1, 1, 0, 0, 0], [1, 0, 0, 0, 0]]  # span{x^3 (x + y), x^4}
+    for j, rows in ((5, dense), (4, two_point)):
+        V = FormSpace(j, rows)
+        w, summary = wronskian(V), total_ramification_check(V)
+        assert calls == [len(rows)]
+        U = FormSpace(j, rows)
+        assert U == V and hash(U) == hash(V)
+        assert total_ramification_check(U) == summary and wronskian(U) == w
+        assert calls == [len(rows)] * 2
+        del calls[:]
+
+
+@pytest.mark.parametrize("result, message", [([0], "zero Wronskian"), ([1] * 8, "exceeds dim")])
+def test_a_refused_wronskian_is_not_kept(monkeypatch, result, message):
+    """The zero and the too-long determinant raise ``InternalError`` from
+    both callers, and nothing is stored: each call computes again."""
+    calls = counting_det(monkeypatch, result)
+    V = FormSpace(4, [[1, 2, 0, -1, 3], [0, 1, 1, 2, -2]])  # degree 2 * 3
+    for check in (wronskian, total_ramification_check, wronskian):
+        with pytest.raises(InternalError, match=message):
+            check(V)
+    assert calls == [2, 2, 2]
 
 
 def test_complement_dual_identity_random():

@@ -63,6 +63,14 @@ def test_hookcode_refuses_a_non_integer(field, value):
         HookCode(**fields)
 
 
+@pytest.mark.parametrize(
+    "qs, what", [(5, "qs"), ([5], "code component"), ([[0], 2], "code component"), (((0,), 2), "code component")]
+)
+def test_hookcode_refuses_a_non_iterable(qs, what):
+    with pytest.raises(ValueError, match=f"^{what} must be a sequence"):
+        HookCode(3, 4, qs)
+
+
 def test_decode_rejects_oversized_code():
     with pytest.raises(NotFound):
         decode([1, 2, 1], HookCode(2, 2, ((3,),)))

@@ -1,9 +1,11 @@
 """Differential tests: fraction-free row reduction, both integer
 determinant paths, the integer Wronskian, the filtered rational root
 search, the Horner frame change, membership by pivot reduction, the
-one-pass generator rows and the triangular ideal pieces against the slow
-paths in ``oracles`` and ``linalg.in_rowspace``."""
+one-pass generator rows, the stored Wronskian and the triangular ideal
+pieces against the slow paths in ``oracles`` and ``linalg.in_rowspace``."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 from math import comb, gcd
 
@@ -89,6 +91,25 @@ spaces = st.one_of(dense_spaces(), two_point_spaces())
 @given(spaces)
 def test_wronskian_matches_laplace_oracle(V):
     assert wronskian(V) == oracles.wronskian(V) == oracles.wronskian(V, at="x")
+
+
+@SETTINGS
+@given(st.one_of(dense_spaces(6, None), two_point_spaces(6, None)))
+def test_stored_wronskian_is_invisible(V):
+    """A space that keeps its Wronskian answers as an equal space built
+    afresh, the slow path, and compares, hashes, prints and serializes as it
+    did before; its copies and pickles compare equal."""
+    before = (hash(V), repr(V), V.to_json())
+    w = wronskian(V)
+    assert V._wronskian is not None
+    fresh = FormSpace(V.degree, V.rows)
+    assert fresh._wronskian is None
+    assert V == fresh and (hash(V), repr(V), V.to_json()) == before == (hash(fresh), repr(fresh), fresh.to_json())
+    assert total_ramification_check(V) == total_ramification_check(FormSpace(V.degree, V.rows))
+    assert wronskian(V) == w == wronskian(fresh)
+    for other in (copy.copy(V), pickle.loads(pickle.dumps(V)), pickle.loads(pickle.dumps(FormSpace(V.degree, V.rows)))):
+        assert other == V and hash(other) == hash(V)
+        assert wronskian(other) == w
 
 
 # d = 6..8 and j up to 2d + 3: Wronskian matrices on both sides of
