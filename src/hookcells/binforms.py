@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg, unipoly
 from .errors import DegenerateBasis, InternalError, ZeroForm
-from .partitions import _index, _list, _rational, ramification_partition, signed_sum
+from .partitions import _decimal, _index, _list, _rational, ramification_partition, signed_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,20 +64,20 @@ class BinaryForm:
                 ) if s
             )
             if not mono:
-                parts.append(str(c))
+                parts.append(_decimal(c))
             elif c == 1:
                 parts.append(mono)
             elif c == -1:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{c}*{mono}")
+                parts.append(f"{_decimal(c)}*{mono}")
         return signed_sum(parts)
 
     def __repr__(self):
         return f"BinaryForm({self.degree}, {self!s})"
 
     def to_json(self):
-        return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
+        return {"degree": self.degree, "coeffs": [_decimal(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data) -> "BinaryForm":
@@ -156,6 +156,40 @@ class FormSpace:
         red, piv = linalg.rref(rows, degree + 1, col_order=range(degree, -1, -1))
         if len(red) != len(rows):
             raise DegenerateBasis(f"{len(rows)} forms span only {len(red)} dimensions")
+        self._fill(degree, red, piv)
+
+    @classmethod
+    def _of_triangular_rows(cls, degree: int, rows) -> "FormSpace":
+        """The space spanned by ``rows``, primitive integer coefficient rows
+        of length ``degree + 1`` whose initial monomials (last nonzero
+        entries) fall in strictly increasing columns: the constructor
+        without reading the rows or searching for pivots.  Each row is
+        cleared at the earlier pivots by the rows already reduced, which are
+        zero at every other pivot and past their own, so one pass gives the
+        reduced echelon rows.  Rows out of that order, a zero row included,
+        are a :class:`DegenerateBasis`."""
+        red, piv = [], []
+        for row in rows:
+            p = max((k for k, c in enumerate(row) if c), default=-1)
+            if p <= (piv[-1] if piv else -1):
+                raise DegenerateBasis(f"rows of degree {degree} do not have increasing initial monomials")
+            if row[p] < 0:
+                row = [-x for x in row]
+            for done, q in zip(red, piv):
+                if row[q]:
+                    g = math.gcd(done[q], row[q])
+                    s, t = done[q] // g, row[q] // g
+                    row = [s * x - t * y for x, y in zip(row, done)]
+                    g = math.gcd(*row)
+                    if g > 1:
+                        row = [x // g for x in row]
+            red.append(row)
+            piv.append(p)
+        space = object.__new__(cls)
+        space._fill(degree, red[::-1], piv[::-1])
+        return space
+
+    def _fill(self, degree, red, piv):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "rows", tuple(map(tuple, red)))
         object.__setattr__(self, "pivots", tuple(piv))
@@ -204,7 +238,11 @@ class FormSpace:
         every other pivot, so cross-multiplying at each pivot in turn clears
         the form there, and leaves zero exactly when the form lies in the
         space.  ``form`` is a :class:`BinaryForm` or a coefficient row."""
-        v = linalg.integer_model(self._row(self.degree, form))
+        return self._holds(linalg.integer_model(self._row(self.degree, form)))
+
+    def _holds(self, v) -> bool:
+        """:meth:`contains` for an integer coefficient row of the right
+        length, taken as it is."""
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
@@ -221,7 +259,7 @@ class FormSpace:
     def to_json(self):
         return {
             "degree": self.degree,
-            "basis": [[str(c) for c in f.coeffs] for f in self.basis],
+            "basis": [[_decimal(c) for c in f.coeffs] for f in self.basis],
         }
 
     @classmethod

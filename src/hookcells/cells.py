@@ -13,16 +13,17 @@ x-power: 1 < y < x < y^2 < x*y < x^2 < ...
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .binforms import BinaryForm, FormSpace, PointP1, POINT_X, change_basis, ram_data
-from .errors import InconsistentParams, InternalError, NotAnIdeal, NotInBigCell
+from .errors import InconsistentParams, InternalError, NotAnIdeal, NotInBigCell, OutOfRange
 from .hookcode import HookCode, decode
 from .partitions import (
-    HilbertFunction, Partition, _rational, as_hilbert, hooks, ramification_partition, t_invariants,
+    HilbertFunction, Partition, _decimal, _rational, as_hilbert, hooks, ramification_partition, t_invariants,
 )
 
 Monomial = tuple[int, int]
@@ -146,14 +147,29 @@ def pair_set_W(E: MonomialIdeal) -> WPairs:
     return WPairs(tuple(sorted(plus, key=key)), tuple(sorted(minus, key=key)))
 
 
+# Largest top degree j of a shape that CellParams, and so build_ideal and
+# `build-ideal`, accept (README, "Cells").
+MAX_IDEAL_DEGREE = 64
+
+
+def _check_degree(partition: Partition) -> None:
+    """``OutOfRange`` when the shape's top degree, the largest r + c over its
+    cells (r, c), is above ``MAX_IDEAL_DEGREE``; one pass over its rows."""
+    j = max((r + pr - 1 for r, pr in enumerate(partition.parts)), default=-1)
+    if j > MAX_IDEAL_DEGREE:
+        raise OutOfRange(f"shape of top degree j = {j} is above the limit {MAX_IDEAL_DEGREE}")
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class CellParams:
-    """A choice of rational value for every pair in S(E)."""
+    """A choice of rational value for every pair in S(E); ``OutOfRange`` for
+    a shape of top degree above ``MAX_IDEAL_DEGREE``."""
 
     ideal: MonomialIdeal
     values: dict
 
     def __init__(self, ideal: MonomialIdeal, values: dict):
+        _check_degree(ideal.partition)
         pairs = pair_set_S(ideal)
         if set(values) != set(pairs):
             raise InconsistentParams(
@@ -172,14 +188,16 @@ class CellParams:
         return {
             "partition": self.ideal.partition.to_json(),
             "params": [
-                {"mu": mono_str(mu), "nu": mono_str(nu), "value": str(self.values[(mu, nu)])}
+                {"mu": mono_str(mu), "nu": mono_str(nu), "value": _decimal(self.values[(mu, nu)])}
                 for (mu, nu) in pair_set_S(self.ideal)
             ],
         }
 
     @classmethod
     def from_json(cls, data) -> "CellParams":
-        ideal = MonomialIdeal(Partition.from_json(data["partition"]))
+        partition = Partition.from_json(data["partition"])
+        _check_degree(partition)
+        ideal = MonomialIdeal(partition)
         values = {}
         for entry in data["params"]:
             mu, nu = parse_mono(entry["mu"]), parse_mono(entry["nu"])
@@ -210,6 +228,8 @@ class GradedIdeal:
         for i in range(T.mu, T.j + 1):
             if i not in pieces:
                 raise NotAnIdeal(f"missing degree-{i} piece")
+            if not isinstance(pieces[i], FormSpace) or pieces[i].degree != i:
+                raise NotAnIdeal(f"degree-{i} piece is not a FormSpace of degree {i}: {pieces[i]!r}")
             if pieces[i].dim != i + 1 - T.value(i):
                 raise NotAnIdeal(
                     f"degree-{i} piece has dimension {pieces[i].dim}, expected {i + 1 - T.value(i)}"
@@ -217,8 +237,8 @@ class GradedIdeal:
         for i in range(T.mu, T.j):
             nxt = pieces[i + 1]
             for row in pieces[i].rows:
-                # (*row, 0) is x * f and (0, *row) is y * f
-                if not (nxt.contains((*row, 0)) and nxt.contains((0, *row))):
+                # (*row, 0) is x * f and (0, *row) is y * f, integer rows
+                if not (nxt._holds((*row, 0)) and nxt._holds((0, *row))):
                     raise NotAnIdeal(f"degree-{i} piece is not closed under multiplication")
         object.__setattr__(self, "hilbert_function", T)
         object.__setattr__(self, "pieces", dict(pieces))
@@ -229,8 +249,8 @@ class GradedIdeal:
         if i < T.mu:
             return FormSpace(i, ())
         if i > T.j:
-            rows = [[Fraction(k == m) for k in range(i + 1)] for m in range(i + 1)]
-            return FormSpace(i, rows)
+            unit_rows = [[int(k == m) for k in range(i + 1)] for m in range(i + 1)]
+            return FormSpace._of_triangular_rows(i, unit_rows)
         return self.pieces[i]
 
 
@@ -257,18 +277,23 @@ def build_ideal(params: CellParams) -> GradedIdeal:
 
     Standard generators f(x^c y^(q(c))) are produced for c = p0 down to 0,
     each as its coefficient row (entry k is the coefficient of x^(d-k) y^k),
-    so its initial monomial is its last nonzero entry.  Each starts as its
-    leading monomial minus the freely chosen multiples of the S(E) hands.
-    Multiplying by x appends a zero; every other term of a generator
-    multiple has a larger x-power than its initial monomial, so one pass
-    over x * f by increasing x-power reduces it against the generators
-    already built.  The remainder is supported on x-shifts of cobasis
+    so its initial monomial is its last nonzero entry.  The rows are
+    integer: a generator starts as its leading monomial minus the freely
+    chosen multiples of the S(E) hands, all times the lcm of the
+    denominators of those values.  Multiplying by x appends a zero; every
+    other term of a generator multiple has a larger x-power than its initial
+    monomial, so one pass over x * f by increasing x-power reduces it
+    against the generators already built, each term cleared by
+    cross-multiplying with the multiple's leading entry, which scales f
+    along with it.  The remainder is supported on x-shifts of cobasis
     monomials, and cancelling it forces the remaining tail coefficients.
+    Each generator is kept as its primitive integer row, with a positive
+    leading entry, and divided by that entry once for the returned forms.
     Each degreewise piece then takes one generator multiple per ideal
-    monomial of its degree, the multiple whose initial monomial it is.
-    Distinct initial monomials make these a basis; the closure check of
-    :class:`GradedIdeal` then shows that every other generator multiple lies
-    in the pieces too.
+    monomial of its degree, the multiple whose initial monomial it is, a
+    primitive integer row.  Distinct initial monomials make these a basis;
+    the closure check of :class:`GradedIdeal` then shows that every other
+    generator multiple lies in the pieces too.
     """
     E = params.ideal
     T = E.hilbert_function
@@ -281,33 +306,42 @@ def build_ideal(params: CellParams) -> GradedIdeal:
     gens: dict[int, list] = {p0: [1] + [0] * p0}
     for c in range(p0 - 1, -1, -1):
         d = c + q[c]
+        free = free_by_mu.get((c, q[c]), ())
+        den = math.lcm(*[value.denominator for _, value in free])
         f = [0] * (d + 1)
-        f[q[c]] = 1
-        for nu, value in free_by_mu.get((c, q[c]), ()):
-            f[nu[1]] = -value
+        f[q[c]] = den
+        for nu, value in free:
+            f[nu[1]] = -value.numerator * (den // value.denominator)
         g = f + [0]
         for yp in range(d + 1, -1, -1):
             m = (d + 1 - yp, yp)
             if g[yp] and E.contains(m):
-                coef = g[yp]
-                g = [a - coef * b for a, b in zip(g, _multiple(m, gens, q))]
+                row = _multiple(m, gens, q)
+                h = math.gcd(row[yp], g[yp])
+                s, t = row[yp] // h, g[yp] // h
+                g = [s * u - t * v for u, v in zip(g, row)]
+                if s != 1:
+                    f = [s * u for u in f]
         for yp, coef in enumerate(g):
             if coef:
                 if yp >= q[c] or E.contains((d - yp, yp)):
                     term = mono_str((d + 1 - yp, yp))
                     raise InconsistentParams(f"reduction left an unexpected term {term}")
                 f[yp] = -coef
-        gens[c] = f
+        h = math.gcd(*f)
+        gens[c] = [u // h for u in f] if h > 1 else f
 
     pieces = {}
     for d in range(T.mu, T.j + 1):
-        space = FormSpace(d, [_multiple(m, gens, q) for m in E.piece(d)])
+        space = FormSpace._of_triangular_rows(d, [_multiple(m, gens, q) for m in E.piece(d)])
         if space.dim != d + 1 - T.value(d):
             raise InconsistentParams(
                 f"degree-{d} piece came out {space.dim}-dimensional"
             )
         pieces[d] = space
-    ordered = tuple(BinaryForm(c + q[c], gens[c]) for c in range(p0 + 1))
+    ordered = tuple(
+        BinaryForm(c + q[c], [Fraction(u, gens[c][q[c]]) for u in gens[c]]) for c in range(p0 + 1)
+    )
     return GradedIdeal(T, pieces, ordered)
 
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidT, NonAdmissible
+from .errors import InvalidT, NonAdmissible, OutOfRange
 
 
 def _index(value, what: str, error=ValueError) -> int:
@@ -61,6 +62,18 @@ def _rational(value, what: str, error=ValueError) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise error(f"{what} must be an exact rational, got {value!r}")
+
+
+def _decimal(value) -> str:
+    """``str(value)`` for an integer or a ``Fraction``; ``OutOfRange`` when
+    one of its integers has more decimal digits than the interpreter writes
+    as text (``sys.get_int_max_str_digits()``), where ``str`` raises a bare
+    ValueError.  The limit itself is left as it is."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise OutOfRange(f"a number of the result has more than {limit} decimal digits") from None
 
 
 def signed_sum(terms) -> str:

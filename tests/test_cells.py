@@ -5,6 +5,7 @@ import pytest
 
 from hookcells import (
     CellParams,
+    FormSpace,
     GradedIdeal,
     HilbertFunction,
     HookCode,
@@ -28,7 +29,8 @@ from hookcells import (
     small_grass_coords,
     t_invariants,
 )
-from hookcells.errors import InconsistentParams, InvalidT, NotInBigCell
+from hookcells.cells import MAX_IDEAL_DEGREE
+from hookcells.errors import InconsistentParams, InvalidT, NotAnIdeal, NotInBigCell, OutOfRange
 import oracles
 
 
@@ -340,6 +342,29 @@ def test_graded_ideal_validates_closure():
         GradedIdeal(T, {2: x2})  # missing piece
     with pytest.raises(NotAnIdeal):
         GradedIdeal(HilbertFunction([1, 2, 1]), {2: FormSpace(2, [[1, 0, 0]])})
+
+
+@pytest.mark.parametrize("wrong", [
+    FormSpace(4, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]),
+    FormSpace(2, [[1, 0, 0], [0, 1, 0]]),
+    [[1, 0, 0, 0], [0, 1, 0, 0]],
+], ids=["degree 4", "degree 2", "rows"])
+def test_graded_ideal_checks_the_degree_of_each_piece(wrong):
+    # T = (1, 2, 3, 2, 1): the degree-3 piece has dimension 2
+    I = build_ideal(CellParams.zeros(ideal_of([5, 2, 1, 1])))
+    GradedIdeal(I.hilbert_function, dict(I.pieces))
+    with pytest.raises(NotAnIdeal, match="degree-3 piece is not a FormSpace of degree 3"):
+        GradedIdeal(I.hilbert_function, {**I.pieces, 3: wrong})
+
+
+def test_cell_params_refuse_a_shape_above_the_degree_limit():
+    # a column of n ones has top degree j = n - 1
+    top = ideal_of([1] * (MAX_IDEAL_DEGREE + 1))
+    assert initial_ideal(build_ideal(CellParams.zeros(top))) == top
+    with pytest.raises(OutOfRange, match=f"j = {MAX_IDEAL_DEGREE + 1} is above the limit"):
+        CellParams.zeros(ideal_of([1] * (MAX_IDEAL_DEGREE + 2)))
+    with pytest.raises(OutOfRange, match="j = 999999 is above the limit"):
+        CellParams.from_json({"partition": [10**6], "params": []})
 
 
 def test_cell_params_serialization():

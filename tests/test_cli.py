@@ -134,6 +134,18 @@ def test_build_ideal_cmd(tmp_path, capsys):
     assert "T = [1, 2, 1]" in out
 
 
+@pytest.mark.parametrize("parts", [[10**6], [1] * 3000, [1] * 66])
+def test_build_ideal_above_the_degree_limit_is_a_domain_error(tmp_path, capsys, parts):
+    # top degrees 999999, 2999 and 65: refused before the shape is built
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"partition": parts, "params": []}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build-ideal", "--params", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("OutOfRange: shape of top degree") and "Traceback" not in err
+
+
 def test_intersect_cmd(tmp_path, capsys):
     path = tmp_path / "conds.json"
     path.write_text(json.dumps({"d": 2, "j": 4, "conditions": [[1, 4], [0, 3]]}))

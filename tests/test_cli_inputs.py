@@ -1,11 +1,17 @@
 """Malformed CLI input ends in a usage error (exit 2) or a one-line domain
 error (exit 1), never in a traceback."""
 
+import contextlib
+import io
 import json
 import math
+import time
 
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
+from hookcells import MonomialIdeal, Partition, pair_set_S
+from hookcells.cells import mono_str
 from hookcells.cli import main
 
 # every command that reads a file, with the flag that names it
@@ -151,3 +157,107 @@ def test_code_outside_the_boxes_is_a_domain_error(capsys, code):
     assert main(["decode", "--T", "1,2,3,2,1", "--code", code]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("NotFound: code ") and "does not fit the boxes" in err
+
+
+# (5,2,1,1) has three S(E) pairs; 10**4000 at each gives 8001-digit generator coefficients
+BIG_PARAMS = {"partition": [5, 2, 1, 1], "params": [
+    {"mu": mono_str(mu), "nu": mono_str(nu), "value": 10**4000}
+    for mu, nu in pair_set_S(MonomialIdeal(Partition([5, 2, 1, 1])))
+]}
+# two 2501-digit entries whose product sits in the Wronskian
+BIG_SPACE = {"degree": 2, "basis": [[1, 10**2500 + 7, 0], [0, 1, 10**2500 + 9]]}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv, payload", [(FILE_COMMANDS[2], BIG_PARAMS), (FILE_COMMANDS[0], BIG_SPACE)],
+                         ids=["build-ideal", "wronskian"])
+def test_result_past_the_digit_limit_is_a_domain_error(tmp_path, capsys, argv, payload, fmt):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = main([*argv, str(path), "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("OutOfRange: a number of the result has more than 4300 decimal digits")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# JSON values of every kind: wrong types, floats, booleans, decimal and
+# exponent strings, integers up to the 4300 digits JSON reads, and nesting
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-10**6, 10**6),
+    st.sampled_from([10**4000, -(10**4299), 2**14000]),
+    st.sampled_from(["1/3", "-0.25", "1e5", "1E-3", "7/0", "", "0x10", "1_000", " 2 ", "x^1 y^0"]),
+    st.text(max_size=8),
+)
+ANY_JSON = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+VALUES = st.one_of(
+    st.integers(-9, 9), st.builds("{}/{}".format, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.sampled_from([0, 10**4000, "-7/999983"]), SCALARS,
+)
+RARELY = st.integers(0, 3).map(lambda k: k == 0)
+
+
+@st.composite
+def small_shapes(draw):
+    left = draw(st.integers(0, 12))
+    parts = []
+    while left:
+        parts.append(draw(st.integers(1, min(left, parts[-1] if parts else left))))
+        left -= parts[-1]
+    return parts
+
+
+@st.composite
+def build_ideal_payloads(draw):
+    """A cell-parameter payload: one entry per S(E) pair of a shape with at
+    most 12 boxes, then broken in any number of ways; or a shape above the
+    degree limit, or any JSON at all."""
+    pairs = ()
+    if draw(st.integers(0, 3)):
+        parts = draw(small_shapes())
+        pairs = pair_set_S(MonomialIdeal(Partition(parts)))
+    else:
+        parts = draw(st.one_of(st.sampled_from([[10**6], [1] * 70, [65], [3, 5], [2**64]]), ANY_JSON))
+    entries = [{"mu": mono_str(mu), "nu": mono_str(nu), "value": draw(VALUES)} for mu, nu in pairs]
+    if entries and draw(RARELY):  # a pair given twice
+        entries.append({**draw(st.sampled_from(entries)), "value": draw(VALUES)})
+    if entries and draw(RARELY):  # a pair left out
+        del entries[draw(st.integers(0, len(entries) - 1))]
+    if entries and draw(RARELY):  # a key left out
+        entries[0] = {k: v for k, v in entries[0].items() if k != draw(st.sampled_from(["mu", "nu", "value"]))}
+    if draw(RARELY):  # an entry of any JSON
+        entries.append(draw(ANY_JSON))
+    payload = {"partition": parts, "params": entries}
+    if draw(RARELY):  # a top-level key left out or of any JSON
+        key = draw(st.sampled_from(["partition", "params"]))
+        payload = draw(st.one_of(
+            st.just({k: v for k, v in payload.items() if k != key}), st.builds(lambda v: {**payload, key: v}, ANY_JSON),
+        ))
+    return draw(st.one_of(st.just(payload), ANY_JSON)) if draw(st.integers(0, 9)) == 0 else payload
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(payload=build_ideal_payloads(), fmt=st.sampled_from(["table", "json"]))
+@example(payload=BIG_PARAMS, fmt="table")
+@example(payload={"partition": [2**64], "params": []}, fmt="json")
+@example(payload={"partition": [1] * 3000, "params": []}, fmt="json")
+def test_build_ideal_fuzz(tmp_path_factory, payload, fmt):
+    """Any payload ends in a result (exit 0), a one-line domain error (exit
+    1) or a usage error (exit 2), never in a traceback, and in bounded time."""
+    path = tmp_path_factory.getbasetemp() / "fuzz-params.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["build-ideal", "--params", str(path), "--format", fmt])
+        except SystemExit as exc:
+            code = exc.code
+    assert time.perf_counter() - start < 5
+    event(f"exit {code}, {err.getvalue().partition(':')[0] or 'no error'}")
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().count("\n") == 1 and out.getvalue() == ""

@@ -24,6 +24,13 @@ checks = [
         3: FormSpace(3, [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]),
     }),
     lambda: CellParams(MonomialIdeal(Partition([2, 2])), {((0, 2), (1, 1)): 0.1}),
+    # a degree-2 space where the degree-3 piece belongs
+    lambda: GradedIdeal(HilbertFunction([1, 2, 2, 1]), {
+        2: FormSpace(2, [[1, 0, 0]]),
+        3: FormSpace(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    }),
+    lambda: FormSpace._of_triangular_rows(2, [[1, 2, 0], [3, 1, 0]]),
+    lambda: CellParams.from_json({"partition": [100], "params": []}),
 ]
 print(sys.flags.optimize)
 for check in checks:
@@ -50,4 +57,6 @@ def test_checks_run_under_python_O():
         [sys.executable, "-O", "-c", UNDER_O], env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "NotAnIdeal", "InconsistentParams"]
+    assert proc.stdout.split() == [
+        "1", "NotAnIdeal", "InconsistentParams", "NotAnIdeal", "DegenerateBasis", "OutOfRange",
+    ]

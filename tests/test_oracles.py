@@ -7,7 +7,7 @@ pieces against the slow paths in ``oracles`` and ``linalg.in_rowspace``."""
 import copy
 import pickle
 from fractions import Fraction as F
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -381,6 +381,48 @@ def test_contains_matches_in_rowspace(case):
     assert V.contains(v) == inside
 
 
+@SETTINGS
+@given(spaces_and_vectors(), st.integers(-5, 5).filter(bool))
+def test_integer_membership_matches_contains(case, scale):
+    """The closure check's membership test, which takes an integer row as
+    it is, answers as ``contains`` on integer multiples of the vector,
+    primitive or not, inside the space or not."""
+    V, _, v = case
+    den = lcm(*[c.denominator for c in v])
+    w = [int(c * den) * scale for c in v]
+    assert V._holds(w) == V._holds(tuple(w)) == V.contains(v)
+
+
+@st.composite
+def triangular_rows(draw):
+    """Primitive integer rows of degree j <= 8 whose last nonzero entries,
+    of either sign, fall in increasing columns."""
+    j = draw(st.integers(0, 8))
+    pivots = sorted(draw(st.lists(st.integers(0, j), min_size=0, max_size=j + 1, unique=True)))
+    rows = []
+    for p in pivots:
+        row = draw(st.lists(st.integers(-30, 30), min_size=p, max_size=p))
+        row = row + [draw(st.integers(-30, 30).filter(bool))] + [0] * (j - p)
+        g = gcd(*row)
+        rows.append([x // g for x in row])
+    return j, rows
+
+
+@SETTINGS
+@given(triangular_rows())
+def test_triangular_constructor_matches_the_constructor(case):
+    j, rows = case
+    V, W = FormSpace._of_triangular_rows(j, rows), FormSpace(j, rows)
+    assert V == W and (V.rows, V.pivots) == (W.rows, W.pivots) and V._wronskian is None
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, 0], [3, 1, 0]], [[0, 1, 0], [1, 0, 0]], [[0, 0, 0]], [[1, 0, 0], [0, 0, 0]]],
+                         ids=["repeated", "decreasing", "zero", "zero last"])
+def test_triangular_constructor_refuses_rows_out_of_order(rows):
+    with pytest.raises(DegenerateBasis, match="do not have increasing initial monomials"):
+        FormSpace._of_triangular_rows(2, rows)
+
+
 @st.composite
 def rational_matrices(draw):
     """A rational matrix, possibly empty or without columns, with zero rows
@@ -441,16 +483,25 @@ def test_form_space_does_not_depend_on_its_generators(case):
     assert V.basis == tuple(BinaryForm(j, r) for r in red) and V.pivots == tuple(piv)
 
 
+# prime denominators up to 10^6: the common denominator of a generator's
+# values is often a product of several, and the reduction scales by them
+DENOMINATORS = (2, 3, 5, 7, 11, 101, 9973, 65537, 999983)
+cell_values = st.one_of(
+    st.just(F(0)), small, st.builds(F, st.integers(-10**6, 10**6), st.sampled_from(DENOMINATORS)),
+)
+
+
 @st.composite
-def cell_params(draw, max_n=8):
-    """Random coordinates on the cell of a random shape with at most max_n boxes."""
+def cell_params(draw, max_n=12):
+    """Random coordinates on the cell of a random shape with at most max_n
+    boxes: zero, small and large-denominator values."""
     left = draw(st.integers(1, max_n))
     parts = []
     while left:
         parts.append(draw(st.integers(1, min(left, parts[-1] if parts else left))))
         left -= parts[-1]
     E = MonomialIdeal(Partition(parts))
-    return CellParams(E, {pair: draw(entries) for pair in pair_set_S(E)})
+    return CellParams(E, {pair: draw(cell_values) for pair in pair_set_S(E)})
 
 
 @SETTINGS
