@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, unipoly
-from .errors import DegenerateBasis, InternalError, ZeroForm
+from .errors import DegenerateBasis, InternalError, OutOfRange, ZeroForm
 from .partitions import _decimal, _index, _list, _rational, ramification_partition, signed_sum
 
 
@@ -125,6 +125,12 @@ POINT_X = PointP1(1, 0)  # the point x = 0
 POINT_Y = PointP1(0, 1)  # the point y = 0
 
 
+# Largest degree of a form space that FormSpace.from_json, and so
+# `wronskian` and `qram`, accepts: the ramification data of even the zero
+# space take one step per degree (README, "Wronskians").
+MAX_FORM_DEGREE = 10_000
+
+
 @dataclass(frozen=True, slots=True)
 class FormSpace:
     """A subspace of the degree-j forms, held as a reduced row echelon basis.
@@ -140,27 +146,33 @@ class FormSpace:
     ``basis`` gives the rational echelon rows, each stored row divided by its
     pivot entry.
 
-    A space keeps its integer Wronskian polynomial once
-    :func:`wronskian` or :func:`total_ramification_check` has computed it,
-    so the two share one determinant.  The stored polynomial is not part of
-    equality, hashing, ``repr`` or ``to_json``.
+    A space also keeps the rows it was built from, each as its primitive
+    integer multiple: a basis whose entries are usually much smaller than
+    those of the echelon rows, which are minors of it.  The work that does
+    not depend on the basis runs on them: the Wronskian (:func:`wronskian`)
+    and the vanishing orders at a point other than x = 0 (:func:`ram_data`,
+    :func:`initial_space`).  It keeps its integer Wronskian polynomial too,
+    once :func:`wronskian` or :func:`total_ramification_check` has computed
+    it, so the two share one determinant.  Neither the given rows nor the
+    stored polynomial is part of equality, hashing, ``repr`` or ``to_json``.
     """
 
     degree: int
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
+    _given: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
     _wronskian: tuple | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, degree: int, forms):
-        rows = [self._row(degree, f) for f in forms]
-        red, piv = linalg.rref(rows, degree + 1, col_order=range(degree, -1, -1))
-        if len(red) != len(rows):
-            raise DegenerateBasis(f"{len(rows)} forms span only {len(red)} dimensions")
-        self._fill(degree, red, piv)
+        given = [linalg.integer_model(self._row(degree, f)) for f in forms]
+        red, piv = linalg.rref(given, degree + 1, col_order=range(degree, -1, -1))
+        if len(red) != len(given):
+            raise DegenerateBasis(f"{len(given)} forms span only {len(red)} dimensions")
+        self._fill(degree, red, piv, given)
 
     @classmethod
     def _of_triangular_rows(cls, degree: int, rows) -> "FormSpace":
-        """The space spanned by ``rows``, primitive integer coefficient rows
+        """The space spanned by ``rows``, a list of primitive integer rows
         of length ``degree + 1`` whose initial monomials (last nonzero
         entries) fall in strictly increasing columns: the constructor
         without reading the rows or searching for pivots.  Each row is
@@ -186,13 +198,14 @@ class FormSpace:
             red.append(row)
             piv.append(p)
         space = object.__new__(cls)
-        space._fill(degree, red[::-1], piv[::-1])
+        space._fill(degree, red[::-1], piv[::-1], rows)
         return space
 
-    def _fill(self, degree, red, piv):
+    def _fill(self, degree, red, piv, given):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "rows", tuple(map(tuple, red)))
         object.__setattr__(self, "pivots", tuple(piv))
+        object.__setattr__(self, "_given", tuple(map(tuple, given)))
         object.__setattr__(self, "_wronskian", None)
 
     @staticmethod
@@ -252,10 +265,6 @@ class FormSpace:
                 v = [s * x - t * y for x, y in zip(v, row)]
         return not any(v)
 
-    def initial_monomials(self) -> tuple[tuple[int, int], ...]:
-        """Initial monomials of the space as (x_power, y_power), by valuation."""
-        return tuple((self.degree - k, k) for k in self.pivots)
-
     def to_json(self):
         return {
             "degree": self.degree,
@@ -264,7 +273,11 @@ class FormSpace:
 
     @classmethod
     def from_json(cls, data) -> "FormSpace":
+        """The space of a JSON payload; ``OutOfRange`` for a degree above
+        ``MAX_FORM_DEGREE``."""
         degree = _index(data["degree"], "degree")
+        if degree > MAX_FORM_DEGREE:
+            raise OutOfRange(f"form space of degree {degree} is above the limit {MAX_FORM_DEGREE}")
         return cls(degree, [_list(row, "basis row") for row in _list(data["basis"], "basis")])
 
 
@@ -299,6 +312,8 @@ def change_basis(space: FormSpace, p: PointP1) -> FormSpace:
 
     Returned as a :class:`FormSpace` whose k-th coordinate is the coefficient
     of ``L^(j-k) C^k``; its pivots therefore read off the degree sequence.
+    :func:`ram_data` and :func:`initial_space` read the degree sequence
+    without this frame change; it stays as their cross-check.
     """
     if p == POINT_X or space.dim in (0, space.degree + 1):
         # (L, C) = (x, y) is the identity frame, and the zero and the full
@@ -328,23 +343,98 @@ def change_basis(space: FormSpace, p: PointP1) -> FormSpace:
     return FormSpace(j, rows)
 
 
+def _orders(space: FormSpace, p: PointP1) -> tuple[int, ...]:
+    """The L-adic vanishing orders of the forms of the space at ``p``, in
+    increasing order: its degree sequence there, one order per dimension.
+
+    At x = 0 they are the stored pivots.  Elsewhere the given rows are
+    written as polynomials in a parameter t of L, and forward elimination
+    by increasing power of t finds one new order per row.  At y = 0 the
+    parameter is y itself, and coefficient k of a row is already that of
+    y^k.  At L = x - (u/v) y, with u/v in lowest terms, a form F becomes
+    F(u + t, v): since F = L^m H with H(u, v) != 0, its order in t is m.
+    The substitution is invertible, so independent rows stay independent.
+
+    The Taylor shift F(u + t, v) is one Horner pass at t = 2^B, read back
+    as balanced digits.  Its coefficient of t^i is the sum over k of
+    c_k v^k C(j - k, i) u^(j-k-i), below sum |c_k| * max(v, |u| + 1)^j in
+    absolute value, and B is one bit above that bound, so each digit is
+    exact.
+    """
+    j = space.degree
+    if p == POINT_X:
+        return tuple(j - k for k in space.pivots)
+    if space.dim == j + 1:  # every order, without eliminating j + 1 rows
+        return tuple(range(j + 1))
+    if p == POINT_Y:
+        return _forward_orders(space._given)
+    root = -p.b
+    u, v = root.numerator, root.denominator
+    scale = max(v, abs(u) + 1) ** j
+    rows = []
+    for coeffs in space._given:
+        bits = (sum(map(abs, coeffs)) * scale).bit_length() + 1
+        x = (1 << bits) + u
+        acc, v_k = 0, 1
+        for c in coeffs:
+            acc = acc * x + c * v_k
+            v_k *= v
+        digits = unipoly.balanced_digits(acc, bits)
+        rows.append(digits + [0] * (j + 1 - len(digits)))
+    return _forward_orders(rows)
+
+
+def _forward_orders(rows) -> tuple[int, ...]:
+    """The increasing pivot columns of fraction-free forward elimination on
+    the independent integer ``rows``, taking the smallest leading column
+    first: the orders of the span, one per row.  Each step clears that
+    column from the other rows that lead there by cross-multiplying, and
+    leaves the rest alone."""
+    todo = [(_lead(row), row) for row in rows]
+    orders = []
+    while todo:
+        m, top = min(todo, key=lambda pair: pair[0])
+        rest = []
+        for k, row in todo:
+            if row is top:
+                continue
+            if k == m:
+                g = math.gcd(top[m], row[m])
+                s, t = top[m] // g, row[m] // g
+                row = [s * x - t * y for x, y in zip(row, top)]
+                k = _lead(row)
+                g = math.gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+            rest.append((k, row))
+        orders.append(m)
+        todo = rest
+    return tuple(orders)
+
+
+def _lead(row) -> int:
+    """The first nonzero column of a row of independent rows."""
+    k = next((k for k, c in enumerate(row) if c), None)
+    if k is None:
+        raise InternalError("forward elimination met a zero row in an independent basis")
+    return k
+
+
 def initial_space(space: FormSpace, p: PointP1) -> tuple[tuple[int, int], ...]:
     """Initial monomials at ``p`` as (L_power, C_power) pairs, by valuation."""
-    lc = change_basis(space, p)
-    return lc.initial_monomials()
+    j = space.degree
+    return tuple((n, j - n) for n in _orders(space, p))
 
 
 def ram_data(space: FormSpace, p: PointP1) -> RamData:
     """Degree sequence and ramification partitions of the space at ``p``.
 
     They do not depend on the complement C of the frame."""
-    lc = change_basis(space, p)
-    j = space.degree
-    ns = sorted(j - k for k in lc.pivots)
+    ns = _orders(space, p)
     qram = ramification_partition(ns)
-    piv = set(lc.pivots)
-    cob = sorted(j - k for k in range(j + 1) if k not in piv)
-    return RamData(tuple(ns), qram, ramification_partition(cob), sum(qram))
+    taken = set(ns)
+    cob = [n for n in range(space.degree + 1) if n not in taken]
+    return RamData(ns, qram, ramification_partition(cob), sum(qram))
 
 
 def wronskian(space: FormSpace) -> BinaryForm:
@@ -384,7 +474,7 @@ def _wronskian_poly(space: FormSpace):
     if d < 1:
         raise DegenerateBasis("Wronskian needs a nonzero space")
     n_deg = d * space.codim
-    rows = [[unipoly.trim(row[::-1]) for row in space.rows]]
+    rows = [[unipoly.trim(row[::-1]) for row in space._given]]
     for k in range(1, d):
         rows.append([[i * q[i] // k for i in range(1, len(q))] or [0] for q in rows[-1]])
     w = unipoly.trim(unipoly.det(rows, n_deg, _wronskian_height(space)))
@@ -403,7 +493,7 @@ def _wronskian_height(space: FormSpace) -> int:
     square is at most the sum of all det A_S^2 times the sum of all
     det B_S^2.  By Cauchy-Binet these are det(A A^t), at most the product of
     the squared row norms of A by Hadamard, and det(B B^t)."""
-    norms = math.prod(sum(c * c for c in row) for row in space.rows)
+    norms = math.prod(sum(c * c for c in row) for row in space._given)
     return math.isqrt(norms * _binomial_gram(space.dim, space.degree)) + 1
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .binforms import BinaryForm, FormSpace, PointP1, POINT_X, change_basis, ram_data
+from .binforms import BinaryForm, FormSpace, PointP1, POINT_X, _orders, ram_data
 from .errors import InconsistentParams, InternalError, NotAnIdeal, NotInBigCell, OutOfRange
 from .hookcode import HookCode, decode
 from .partitions import (
@@ -357,7 +357,7 @@ def initial_ideal(ideal: GradedIdeal, p: PointP1 = POINT_X) -> MonomialIdeal:
         if d < T.mu:
             lpows = set()
         else:
-            lpows = {d - k for k in change_basis(ideal.pieces[d], p).pivots}
+            lpows = set(_orders(ideal.pieces[d], p))
         cob_cells.update((d - a, a) for a in range(d + 1) if a not in lpows)
     nrows = 1 + max((r for (r, _) in cob_cells), default=-1)
     parts = []

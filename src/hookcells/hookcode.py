@@ -69,8 +69,15 @@ def _tuple(value, what: str) -> tuple:
         raise ValueError(f"{what} must be a sequence, got {value!r}") from None
 
 
+# Largest number of cells of a shape that code, and so `code`, accepts: its
+# diagonal lengths take one step per cell (README).
+MAX_CODE_CELLS = 100_000
+
+
 def code(p: Partition) -> HookCode:
-    """Hook code of a shape, read off its boundary walk in one pass.
+    """Hook code of a shape, read off its boundary walk in one pass;
+    ``OutOfRange``, before any other work, for a shape of more than
+    ``MAX_CODE_CELLS`` cells.
 
     The walk runs from ``(0, rows)`` to ``(p[0], 0)``; an east step raises
     the level x + y by one and a north step lowers it.  The north step that
@@ -80,6 +87,9 @@ def code(p: Partition) -> HookCode:
     When a degree has one hand more than its box has rows, the first one on
     the walk never carries a hook and is dropped.
     """
+    size = sum(p.parts)
+    if size > MAX_CODE_CELLS:
+        raise OutOfRange(f"shape of {size} cells is above the limit {MAX_CODE_CELLS}")
     T = p.diagonal_lengths()
     east = [0] * (T.j + 2)  # east steps out of each level so far
     hands: dict[int, list[int]] = {}

@@ -18,8 +18,11 @@ from fractions import Fraction
 def integer_model(row):
     """The primitive integer multiple of the coefficient list ``row``: ``row``
     times the lcm of its denominators, divided by the gcd of the result."""
-    den = math.lcm(*[c.denominator for c in row])
-    ip = [c.numerator * (den // c.denominator) for c in row]
+    if {int}.issuperset(map(type, row)):
+        ip = list(row)
+    else:
+        den = math.lcm(*[c.denominator for c in row])
+        ip = [c.numerator * (den // c.denominator) for c in row]
     g = math.gcd(*ip)
     return [c // g for c in ip] if g > 1 else ip
 

@@ -12,6 +12,8 @@ of two paths chosen by the size of the matrix: Kronecker substitution up to
 above it.
 """
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -117,7 +119,13 @@ def _det_kronecker(matrix, height=None):
         norms = _at([[list(map(abs, e)) for e in row] for row in matrix], 1)
         height = min(math.prod(map(sum, norms)), math.prod(map(sum, zip(*norms))))
     bits = height.bit_length() + 1
-    v = _laplace(_at(matrix, 1 << bits))
+    return balanced_digits(_laplace(_at(matrix, 1 << bits)), bits)
+
+
+def balanced_digits(v, bits):
+    """The integer polynomial whose value at 2^bits is ``v``, each of its
+    coefficients below 2^(bits - 1) in absolute value: the balanced base
+    2^bits digits of ``v``, lowest first, ``[0]`` for 0."""
     out = []
     mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
     while v:
@@ -248,7 +256,7 @@ def factorize(n):
             out[p] = out.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
-    rng = random.Random(0xC0FFEE)
+    rng = None  # seeded on the first composite, which few calls meet
     while stack:
         m = stack.pop()
         if m == 1:
@@ -256,6 +264,7 @@ def factorize(n):
         if _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
+        rng = rng or random.Random(0xC0FFEE)
         d = _pollard_rho(m, rng)
         stack.append(d)
         stack.append(m // d)
@@ -298,16 +307,60 @@ def root_multiplicity(ip, a, b):
     return mult, ip
 
 
+# Primes for the no-root certificate of rational_roots: the primes below
+# 30, where trying every residue costs little (README, "Wronskians")
+CERTIFICATE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def _no_root_mod(ip, p):
+    """Whether the integer polynomial ``ip`` has no root modulo the prime
+    ``p``.  Every x mod p has x^p = x, so x^i is x^r with r = 1 + (i - 1)
+    mod (p - 1) for i >= 1, and summing the coefficients of each class r
+    gives a polynomial g of degree below p with the same values.  Those are
+    taken at every x at once: ``_residue_powers`` packs x^r mod p for each r
+    into one integer, slot x holding x^r, and the sum of g_r times it holds
+    g(x) in slot x, below 2^bits."""
+    bits, packed = _residue_powers(p)
+    v = (ip[0] % p) * packed[0]
+    for r in range(1, p):
+        v += (sum(ip[r::p - 1]) % p) * packed[r]
+    mask = (1 << bits) - 1
+    for _ in range(p):
+        if (v & mask) % p == 0:
+            return False
+        v >>= bits
+    return True
+
+
+@functools.cache
+def _residue_powers(p):
+    """``(bits, packed)``: packed[r] holds x^r mod p in bits x * bits and up,
+    for x = 0..p-1, with 0^0 = 1; a slot of ``bits`` bits holds any sum of
+    p products of two residues."""
+    bits = (p**3).bit_length()
+    return bits, tuple(sum(pow(x, r, p) << (bits * x) for x in range(p)) for r in range(p))
+
+
 def rational_roots(p):
     """Rational roots of ``p`` with multiplicities, as a dict root -> mult.
 
     Exact: candidates a/b come from the rational root theorem applied to the
-    primitive integer model of ``p``.  A root a/b makes ``b x - a`` an
-    integer factor, so ``b - a`` divides ``p(1)`` and ``b + a`` divides
-    ``p(-1)``; candidates failing either test are skipped, and the others are
-    tested, with their multiplicities, by repeated exact division by
-    ``b x - a`` (``root_multiplicity``).  The root 0 comes first, then the
-    others in increasing order.
+    primitive integer model of ``p``.  The root 0 is read off the leading
+    zero coefficients and comes first; the others follow in increasing
+    order.
+
+    Every other root a/b has b dividing the leading coefficient, so for a
+    prime that does not divide it, a/b is a root modulo that prime too.
+    When one of the ``CERTIFICATE_PRIMES`` that does not divide the leading
+    coefficient leaves no root modulo it, that proves there is no rational
+    root besides 0, and no end coefficient is factored.
+
+    Otherwise the candidates come from the divisors of the end coefficients.
+    A root a/b makes ``b x - a`` an integer factor, so ``b - a`` divides
+    ``p(1)`` and ``b + a`` divides ``p(-1)``; candidates failing either test
+    are skipped, and the others are tested, with their multiplicities, by
+    repeated exact division by ``b x - a`` (``root_multiplicity``).  The
+    search stops when the cofactor left is constant.
     """
     p = trim(p)
     if is_zero(p):
@@ -317,23 +370,24 @@ def rational_roots(p):
     # would take k passes (measurably slower on Wronskians vanishing at x = 0)
     k = next(i for i, c in enumerate(ip) if c)
     roots, ip = ({Fraction(0): k} if k else {}), ip[k:]
-    if len(ip) == 1:
+    if len(ip) == 1 or any(ip[-1] % q and _no_root_mod(ip, q) for q in CERTIFICATE_PRIMES):
         return roots
     at_one, at_minus_one = sum(ip), sum(ip[::2]) - sum(ip[1::2])
     found = {}
     nums, dens = _divisors(abs(ip[0])), _divisors(abs(ip[-1]))
-    for num in nums:
-        for b in dens:
-            if ip[0] % num or ip[-1] % b:
-                continue  # no longer divides the deflated end coefficients
-            for a in (num, -num):
-                if not (_divides(b - a, at_one) and _divides(b + a, at_minus_one)):
-                    continue
-                if math.gcd(a, b) != 1:
-                    continue  # a/b in lowest terms is another candidate
-                mult, ip = root_multiplicity(ip, a, b)
-                if mult:
-                    found[Fraction(a, b)] = mult
-                    at_one, at_minus_one = sum(ip), sum(ip[::2]) - sum(ip[1::2])
+    for num, b in itertools.product(nums, dens):
+        if len(ip) == 1:
+            break  # a constant cofactor has no root left
+        if ip[0] % num or ip[-1] % b:
+            continue  # no longer divides the deflated end coefficients
+        for a in (num, -num):
+            if not (_divides(b - a, at_one) and _divides(b + a, at_minus_one)):
+                continue
+            if math.gcd(a, b) != 1:
+                continue  # a/b in lowest terms is another candidate
+            mult, ip = root_multiplicity(ip, a, b)
+            if mult:
+                found[Fraction(a, b)] = mult
+                at_one, at_minus_one = sum(ip), sum(ip[::2]) - sum(ip[1::2])
     roots.update(sorted(found.items()))
     return roots

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from hookcells import MonomialIdeal, Partition, pair_set_S
+from hookcells.binforms import MAX_FORM_DEGREE
 from hookcells.cells import mono_str
 from hookcells.cli import main
+from hookcells.hookcode import MAX_CODE_CELLS
 
 # every command that reads a file, with the flag that names it
 FILE_COMMANDS = [
@@ -87,6 +89,10 @@ MALFORMED = [(argv, payload, FILE_ERROR) for argv, payload in [
 ] + [
     # a repeated pair, where the last value used to win silently
     (FILE_COMMANDS[2], PARAMS_31_TWICE, "InconsistentParams: pair (x^0 y^2, x^2 y^0) is given twice"),
+] + [
+    # a zero space of a degree whose ramification data would take minutes
+    (argv, {"degree": 10**8, "basis": []}, "OutOfRange: form space of degree 100000000 is above the limit")
+    for argv in FILE_COMMANDS[:2]
 ]
 
 
@@ -157,6 +163,18 @@ def test_code_outside_the_boxes_is_a_domain_error(capsys, code):
     assert main(["decode", "--T", "1,2,3,2,1", "--code", code]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("NotFound: code ") and "does not fit the boxes" in err
+
+
+@pytest.mark.parametrize("parts", ["300000000", "18446744073709551616", ",".join(["1"] * 100_001)],
+                         ids=["one long row", "past an index", "one long column"])
+def test_shape_above_the_code_limit_is_a_domain_error(capsys, parts):
+    start = time.perf_counter()
+    code = main(["code", "--partition", parts])
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("OutOfRange: shape of ") and f"above the limit {MAX_CODE_CELLS}" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # (5,2,1,1) has three S(E) pairs; 10**4000 at each gives 8001-digit generator coefficients
@@ -247,13 +265,20 @@ def build_ideal_payloads(draw):
 def test_build_ideal_fuzz(tmp_path_factory, payload, fmt):
     """Any payload ends in a result (exit 0), a one-line domain error (exit
     1) or a usage error (exit 2), never in a traceback, and in bounded time."""
-    path = tmp_path_factory.getbasetemp() / "fuzz-params.json"
+    run_on_payload(tmp_path_factory, ["build-ideal", "--params"], payload, fmt)
+
+
+def run_on_payload(tmp_path_factory, argv, payload, fmt, extra=()):
+    """Run the command with ``payload`` as its input file; check the exit
+    code, that no traceback is printed, that a domain error is one line with
+    nothing on stdout, and that it takes under 5 s."""
+    path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
     path.write_text(json.dumps(payload))
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(["build-ideal", "--params", str(path), "--format", fmt])
+            code = main([*argv, str(path), *extra, "--format", fmt])
         except SystemExit as exc:
             code = exc.code
     assert time.perf_counter() - start < 5
@@ -261,3 +286,54 @@ def test_build_ideal_fuzz(tmp_path_factory, payload, fmt):
     assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().count("\n") == 1 and out.getvalue() == ""
+
+
+@st.composite
+def space_payloads(draw):
+    """A form-space payload: a basis of up to 5 rows of degree up to 9,
+    independent or not, then broken in any number of ways; or any JSON at
+    all."""
+    degree = draw(st.integers(0, 9))
+    rows = draw(st.lists(st.lists(VALUES, min_size=degree + 1, max_size=degree + 1), max_size=min(degree + 1, 5)))
+    if rows and draw(RARELY):  # a row repeated, so the rows are dependent
+        rows.append(draw(st.sampled_from(rows)))
+    if rows and draw(RARELY):  # a row of the wrong length
+        rows[0] = rows[0][:-1] if draw(st.booleans()) else [*rows[0], 1]
+    if draw(RARELY):  # a row of any JSON
+        rows.append(draw(ANY_JSON))
+    payload = {"degree": draw(st.one_of(st.just(degree), ANY_JSON)) if draw(RARELY) else degree, "basis": rows}
+    if draw(RARELY):  # a top-level key left out or of any JSON
+        key = draw(st.sampled_from(["degree", "basis"]))
+        payload = draw(st.one_of(
+            st.just({k: v for k, v in payload.items() if k != key}), st.builds(lambda v: {**payload, key: v}, ANY_JSON),
+        ))
+    return draw(ANY_JSON) if draw(st.integers(0, 9)) == 0 else payload
+
+
+POINT_TEXTS = st.one_of(
+    st.builds("{},{}".format, VALUES, VALUES),
+    st.sampled_from(["1,0", "0,1", "0,0", "1/0,2", "1,2,3", "1", "", "x,1", "1e5,1", "-3/7,2"]),
+    st.text(max_size=8),
+)
+# three rows with 2501-digit entries, at a point off both axes
+WIDE_SPACE = {"degree": 4, "basis": [[1, 10**2500, 0, 3, 1], [0, 1, 10**2500, 0, 2], [5, 0, 1, 10**2500, 0]]}
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(payload=space_payloads(), fmt=st.sampled_from(["table", "json"]))
+@example(payload=BIG_SPACE, fmt="json")
+@example(payload={"degree": 2**64, "basis": []}, fmt="json")
+@example(payload={"degree": 3, "basis": [[1, 2, 3, 4], [2, 4, 6, 8]]}, fmt="table")
+def test_wronskian_fuzz(tmp_path_factory, payload, fmt):
+    run_on_payload(tmp_path_factory, ["wronskian", "--space"], payload, fmt)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(payload=space_payloads(), point=POINT_TEXTS, fmt=st.sampled_from(["table", "json"]))
+@example(payload=WIDE_SPACE, point="-7/3,5", fmt="json")
+@example(payload={"degree": 2, "basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, point="1,1", fmt="table")
+@example(payload={"degree": 1, "basis": [[1, 1]]}, point="1/0,2", fmt="table")
+@example(payload={"degree": 10**4000, "basis": []}, point="1,2", fmt="json")
+@example(payload={"degree": MAX_FORM_DEGREE, "basis": []}, point="1,2", fmt="json")
+def test_qram_fuzz(tmp_path_factory, payload, point, fmt):
+    run_on_payload(tmp_path_factory, ["qram", "--space"], payload, fmt, ["--point", point])

@@ -15,7 +15,17 @@ SOURCES = sorted(Path(hookcells.__file__).parent.glob("*.py"))
 UNDER_O = """
 import sys
 from hookcells import CellParams, FormSpace, GradedIdeal, HilbertFunction, MonomialIdeal, Partition
+from hookcells import total_ramification_check
 from hookcells.errors import HookcellsError
+
+
+def forged_wronskian():
+    # span{x^2, x y} has Wronskian -x^2; a stored x^2 - 1 puts simple zeros
+    # at x = 1 and x = -1, where the space has no ramification
+    space = FormSpace(2, [[1, 0, 0], [0, 1, 0]])
+    object.__setattr__(space, "_wronskian", (2, (-1, 0, 1)))
+    return total_ramification_check(space)
+
 
 checks = [
     # x * x^2 = x^3 is missing from the degree-3 piece
@@ -31,6 +41,7 @@ checks = [
     }),
     lambda: FormSpace._of_triangular_rows(2, [[1, 2, 0], [3, 1, 0]]),
     lambda: CellParams.from_json({"partition": [100], "params": []}),
+    forged_wronskian,
 ]
 print(sys.flags.optimize)
 for check in checks:
@@ -58,5 +69,5 @@ def test_checks_run_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "1", "NotAnIdeal", "InconsistentParams", "NotAnIdeal", "DegenerateBasis", "OutOfRange",
+        "1", "NotAnIdeal", "InconsistentParams", "NotAnIdeal", "DegenerateBasis", "OutOfRange", "InternalError",
     ]

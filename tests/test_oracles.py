@@ -1,11 +1,15 @@
 """Differential tests: fraction-free row reduction, both integer
 determinant paths, the integer Wronskian, the filtered rational root
-search, the Horner frame change, membership by pivot reduction, the
-one-pass generator rows, the stored Wronskian and the triangular ideal
-pieces against the slow paths in ``oracles`` and ``linalg.in_rowspace``."""
+search and its mod-p no-root certificate, the Horner frame change, the
+vanishing orders read off the given rows, membership by pivot reduction,
+the one-pass generator rows, the stored Wronskian and the triangular ideal
+pieces against the slow paths in ``oracles``, ``linalg.in_rowspace`` and
+``change_basis``."""
 
 import copy
+import math
 import pickle
+from collections import Counter
 from fractions import Fraction as F
 from math import comb, gcd, lcm
 
@@ -121,10 +125,10 @@ def test_large_wronskian_matches_laplace_oracle(V):
 
 
 def taylor_matrix(V):
-    """Row k holds the Taylor coefficients f^(k) / k! of the stored rows at
+    """Row k holds the Taylor coefficients f^(k) / k! of the given rows at
     y = 1, the matrix whose determinant the Wronskian bounds are about."""
     j = V.degree
-    return [[[comb(s, k) * row[j - s] for s in range(k, j + 1)] for row in V.rows] for k in range(V.dim)]
+    return [[[comb(s, k) * row[j - s] for s in range(k, j + 1)] for row in V._given] for k in range(V.dim)]
 
 
 def test_binomial_gram_closed_form():
@@ -234,6 +238,64 @@ def test_change_basis_identity_frame():
     assert change_basis(V, POINT_X) is V
 
 
+# d <= 8 with j <= 12, the zero space and full spaces among them
+order_spaces = st.one_of(
+    dense_spaces(8, 12),
+    two_point_spaces(8, 12),
+    monomial_spaces(8, 12),
+    st.builds(lambda j: FormSpace(j, ()), st.integers(0, 12)),
+    st.integers(0, 8).map(lambda j: FormSpace(j, [[int(k == m) for k in range(j + 1)] for m in range(j + 1)])),
+)
+
+
+@st.composite
+def spaces_and_points(draw):
+    """A space and a point: x = 0, y = 0, a random rational point, or a
+    zero of the space's Wronskian.  The zeros are taken on spaces whose
+    Wronskians have end coefficients that factor quickly."""
+    if draw(st.booleans()):
+        return draw(order_spaces), draw(points)
+    V = draw(st.one_of(dense_spaces(3, 7), two_point_spaces(8, 12), monomial_spaces(8, 12)))
+    zeros = sorted(total_ramification_check(V).rational_point_valuations, key=str)
+    return V, draw(st.sampled_from(zeros) if zeros else points)
+
+
+@SETTINGS
+@given(spaces_and_points())
+def test_vanishing_orders_match_the_frame_change(case):
+    """The orders read off the given rows equal the pivots of the frame
+    change and the binomial oracle's degree sequence, at every point."""
+    V, p = case
+    j = V.degree
+    orders = binforms._orders(V, p)
+    assert orders == tuple(sorted(j - k for k in change_basis(V, p).pivots))
+    rd = ram_data(V, p)
+    assert rd.degree_sequence == orders
+    assert (rd.degree_sequence, rd.qram, rd.code) == oracles.ram_data(V, p)
+    assert binforms.initial_space(V, p) == tuple((n, j - n) for n in orders)
+
+
+@st.composite
+def rebased_spaces(draw):
+    """A space and the same subspace built from another basis: its given
+    rows times a random invertible integer matrix."""
+    V = draw(st.one_of(dense_spaces(6, None), two_point_spaces(6, None), monomial_spaces(6, None)))
+    d = V.dim
+    m = draw(st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(oracles.laplace_det([[[c] for c in row] for row in m]) != [0])
+    rows = [[sum(c * r[k] for c, r in zip(coeffs, V._given)) for k in range(V.degree + 1)] for coeffs in m]
+    return V, FormSpace(V.degree, rows)
+
+
+@SETTINGS
+@given(rebased_spaces())
+def test_wronskian_does_not_depend_on_the_basis(case):
+    V, W = case
+    assert V == W
+    assert wronskian(V) == wronskian(W)
+    assert total_ramification_check(V) == total_ramification_check(W)
+
+
 @st.composite
 def factored_polys(draw):
     """A polynomial with known rational roots times a cofactor c x^k - P
@@ -251,6 +313,63 @@ def factored_polys(draw):
             p = unipoly.mul(p, [-r.numerator, r.denominator])
     scale = draw(nonzero)
     return [scale * v for v in p], roots
+
+
+CERTIFIED = math.prod(unipoly.CERTIFICATE_PRIMES)
+
+
+@st.composite
+def certificate_polys(draw):
+    """Planted rational roots whose denominators are certificate primes,
+    times a cofactor ``CERTIFIED * c * x^k - P`` (k >= 2, irreducible by
+    Eisenstein at the prime P), so that every certificate prime divides the
+    leading coefficient."""
+    roots = draw(st.lists(st.builds(F, st.integers(-6, 6), st.sampled_from((1,) + unipoly.CERTIFICATE_PRIMES)),
+                          max_size=2))
+    k, c = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    prime = draw(st.sampled_from([31, 37, 101]))
+    p = [-prime] + [0] * (k - 1) + [CERTIFIED * c]
+    for r in roots:
+        p = unipoly.mul(p, [-r.numerator, r.denominator])
+    return p, dict(sorted(Counter(roots).items(), key=lambda rm: (rm[0] != 0, rm[0])))
+
+
+@SETTINGS
+@given(certificate_polys())
+def test_rational_roots_when_the_primes_divide_the_lead(case):
+    """The mod-p certificate skips each prime that divides the leading
+    coefficient: modulo such a prime, a root with that prime in its
+    denominator is no root."""
+    p, roots = case
+    assert unipoly.rational_roots(p) == roots
+
+
+# the oracle tries every divisor pair of the end coefficients, over 2048
+# leading ones here, so it checks a few fixed polynomials
+@pytest.mark.parametrize("p, roots", [
+    ([-1, 2 * CERTIFIED], {F(1, 2 * CERTIFIED): 1}),  # no root modulo any certificate prime
+    (unipoly.mul([-1, 2], [-31, 0, CERTIFIED]), {F(1, 2): 1}),
+    (unipoly.mul(unipoly.mul([3, 29], [-5, 7]), [-37, 0, 0, CERTIFIED]), {F(-3, 29): 1, F(5, 7): 1}),
+])
+def test_rational_roots_when_the_primes_divide_the_lead_match_the_oracle(p, roots):
+    assert unipoly.rational_roots(p) == roots == oracles.rational_roots(p)
+
+
+@SETTINGS
+@given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=12).filter(lambda p: p[-1] and p[0]),
+       st.sampled_from(unipoly.CERTIFICATE_PRIMES))
+def test_no_root_mod_matches_every_residue(p, q):
+    assert unipoly._no_root_mod(p, q) == all(sum(c * x**i for i, c in enumerate(p)) % q for x in range(q))
+
+
+def test_factorize_seeds_no_generator_without_a_composite(monkeypatch):
+    def refuse(seed):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(unipoly.random, "Random", refuse)
+    assert unipoly.factorize(2**10 * 3**5 * 1000003) == {2: 10, 3: 5, 1000003: 1}
+    with pytest.raises(AssertionError, match="seeded"):
+        unipoly.factorize(1000003 * 999999937)
 
 
 @SETTINGS
