@@ -165,7 +165,7 @@ class FormSpace:
 
     def __init__(self, degree: int, forms):
         given = [linalg.integer_model(self._row(degree, f)) for f in forms]
-        red, piv = linalg.rref(given, degree + 1, col_order=range(degree, -1, -1))
+        red, piv = linalg._rref_primitive(list(given), degree + 1, col_order=range(degree, -1, -1))
         if len(red) != len(given):
             raise DegenerateBasis(f"{len(given)} forms span only {len(red)} dimensions")
         self._fill(degree, red, piv, given)

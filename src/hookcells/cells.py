@@ -44,10 +44,6 @@ def parse_mono(s: str) -> Monomial:
     return (int(xs[2:]), int(ys[2:]))
 
 
-def _cell_to_mono(r: int, c: int) -> Monomial:
-    return (c, r)
-
-
 @dataclass(frozen=True, slots=True)
 class MonomialIdeal:
     """A finite-colength monomial ideal, known by its cobasis shape."""
@@ -70,7 +66,7 @@ class MonomialIdeal:
         return yp >= len(parts) or xp >= parts[yp]
 
     def cobasis(self, degree: int | None = None) -> tuple[Monomial, ...]:
-        out = [_cell_to_mono(r, c) for (r, c) in self.partition.cells()]
+        out = [(c, r) for (r, c) in self.partition.cells()]
         if degree is not None:
             out = [m for m in out if m[0] + m[1] == degree]
         return tuple(sorted(out, key=mono_key))
@@ -88,9 +84,10 @@ class MonomialIdeal:
     def column_heights(self) -> tuple[int, ...]:
         """q(c) for c = 0..p0: the y-power of the lowest ideal monomial with
         x-power c.  The sequence is the dual partition followed by 0."""
-        p = self.partition
-        p0 = p.parts[0] if p else 0
-        return tuple(p.col_len(c) for c in range(p0)) + (0,)
+        parts, q = self.partition.parts, []
+        for r in range(len(parts), 0, -1):
+            q += [r] * (parts[r - 1] - len(q))
+        return (*q, 0)
 
     def betas(self) -> tuple[Monomial, ...]:
         """The chain x^c y^(q(c)), c = 0..p0, just below the shape."""
@@ -104,18 +101,19 @@ def pair_set_S(E: MonomialIdeal, degree: int | None = None) -> tuple[tuple[Monom
     mu runs over ideal monomials one step below a column of the shape, nu
     over same-degree cobasis monomials past mu whose x-shift leaves the
     shape; the pairs correspond to the difference-one hooks (foot, hand)
-    via mu = y * foot, nu = hand.
+    via mu = y * foot, nu = hand.  One scan of the rows reads them off the
+    column heights q: the hook at (r, c) has arm parts[r] - c and leg
+    q(c) - r, so mu = x^c y^(q(c)) and nu = x^(parts[r] - 1) y^r.
     """
+    parts = E.partition.parts
+    q = E.column_heights()
     out = []
-    for h in hooks(E.partition):
-        if h.difference != 1:
-            continue
-        fr, fc = h.foot
-        mu = (fc, fr + 1)
-        nu = _cell_to_mono(*h.hand)
-        if degree is None or mu[0] + mu[1] == degree:
-            out.append((mu, nu))
-    return tuple(sorted(out, key=lambda p: (mono_key(p[0]), mono_key(p[1]))))
+    for r, pr in enumerate(parts):
+        d = r + pr - 1
+        if degree is None or d == degree:
+            out.extend((d, c, pr - 1, r) for c in range(pr) if c + q[c] == d)
+    out.sort()
+    return tuple(((c, d - c), (a, r)) for d, c, a, r in out)
 
 
 @dataclass(frozen=True)
@@ -134,12 +132,11 @@ class WPairs:
 def pair_set_W(E: MonomialIdeal) -> WPairs:
     plus, minus = [], []
     for h in hooks(E.partition):
+        (hr, hc), (fr, fc) = h.hand, h.foot
         if h.difference >= 2:
-            fr, fc = h.foot
-            plus.append(((fc, fr + 1), _cell_to_mono(*h.hand)))
+            plus.append(((fc, fr + 1), (hc, hr)))
         elif h.difference <= -2:
-            hr, hc = h.hand
-            minus.append(((hc + 1, hr), _cell_to_mono(*h.foot)))
+            minus.append(((hc + 1, hr), (fc, fr)))
 
     def key(pair):
         return (mono_key(pair[0]), mono_key(pair[1]))
@@ -170,11 +167,11 @@ class CellParams:
 
     def __init__(self, ideal: MonomialIdeal, values: dict):
         _check_degree(ideal.partition)
-        pairs = pair_set_S(ideal)
-        if set(values) != set(pairs):
-            raise InconsistentParams(
-                f"values keyed by {sorted(values)} but S(E) is {sorted(pairs)}"
-            )
+        pairs = set(pair_set_S(ideal))
+        if values.keys() != pairs:
+            unexpected = sorted(values.keys() - pairs, key=repr)
+            missing = sorted(pairs - values.keys(), key=repr)
+            raise InconsistentParams(f"values must match S(E): unexpected {unexpected}, missing {missing}")
         values = {
             (mu, nu): _rational(
                 v, f"value of pair ({mono_str(mu)}, {mono_str(nu)})", InconsistentParams
@@ -254,22 +251,15 @@ class GradedIdeal:
         return self.pieces[i]
 
 
-def _column_generator(m: Monomial, q) -> tuple[int, Monomial]:
-    """The standard generator of column k = min(m[0], p0), whose initial
-    monomial x^k y^(q(k)) divides the ideal monomial ``m``, and the shift
-    taking that monomial to ``m``."""
+def _multiple(m: Monomial, gens: dict, q) -> list:
+    """The row of the generator multiple whose initial monomial is the ideal
+    monomial ``m``: the generator of column k = min(m[0], p0), whose initial
+    monomial x^k y^(q(k)) divides ``m``, times x^sx y^sy, which puts sy
+    zeros in front and sx behind."""
     k = min(m[0], len(q) - 1)
     if q[k] > m[1]:
         raise InternalError(f"ideal monomial {mono_str(m)} is not divisible by its column generator")
-    return k, (m[0] - k, m[1] - q[k])
-
-
-def _multiple(m: Monomial, gens: dict, q) -> list:
-    """The row of the generator multiple whose initial monomial is the ideal
-    monomial ``m``: x^sx y^sy times a row puts sy zeros in front and sx
-    behind."""
-    k, (sx, sy) = _column_generator(m, q)
-    return [0] * sy + gens[k] + [0] * sx
+    return [0] * (m[1] - q[k]) + gens[k] + [0] * (m[0] - k)
 
 
 def build_ideal(params: CellParams) -> GradedIdeal:
@@ -291,8 +281,9 @@ def build_ideal(params: CellParams) -> GradedIdeal:
     leading entry, and divided by that entry once for the returned forms.
     Each degreewise piece then takes one generator multiple per ideal
     monomial of its degree, the multiple whose initial monomial it is, a
-    primitive integer row.  Distinct initial monomials make these a basis;
-    the closure check of :class:`GradedIdeal` then shows that every other
+    primitive integer row: x^(d-y) y^y is one when y >= q(k) for its column
+    k = min(d - y, p0).  Distinct initial monomials make these a basis; the
+    closure check of :class:`GradedIdeal` then shows that every other
     generator multiple lies in the pieces too.
     """
     E = params.ideal
@@ -333,14 +324,18 @@ def build_ideal(params: CellParams) -> GradedIdeal:
 
     pieces = {}
     for d in range(T.mu, T.j + 1):
-        space = FormSpace._of_triangular_rows(d, [_multiple(m, gens, q) for m in E.piece(d)])
+        ks = [(yp, min(d - yp, p0)) for yp in range(d + 1)]
+        rows = [[0] * (yp - q[k]) + gens[k] + [0] * (d - yp - k) for yp, k in ks if yp >= q[k]]
+        space = FormSpace._of_triangular_rows(d, rows)
         if space.dim != d + 1 - T.value(d):
             raise InconsistentParams(
                 f"degree-{d} piece came out {space.dim}-dimensional"
             )
         pieces[d] = space
+    zero = Fraction(0)
     ordered = tuple(
-        BinaryForm(c + q[c], [Fraction(u, gens[c][q[c]]) for u in gens[c]]) for c in range(p0 + 1)
+        BinaryForm(c + q[c], [Fraction(u, gens[c][q[c]]) if u else zero for u in gens[c]])
+        for c in range(p0 + 1)
     )
     return GradedIdeal(T, pieces, ordered)
 
@@ -349,21 +344,22 @@ def initial_ideal(ideal: GradedIdeal, p: PointP1 = POINT_X) -> MonomialIdeal:
     """Degreewise initial monomial ideal of a graded ideal at a point.
 
     The returned shape lives in the (L, C) frame at ``p``: its cell (r, c)
-    is the monomial L^c C^r.
+    is the monomial L^c C^r.  One pass by increasing degree d appends each
+    L-power a missing from the degree-d initial monomials to row d - a, so
+    every row comes out sorted.
     """
     T = ideal.hilbert_function
-    cob_cells = set()
+    rows = [[] for _ in range(T.j + 1)]
     for d in range(T.j + 1):
-        if d < T.mu:
-            lpows = set()
-        else:
-            lpows = set(_orders(ideal.pieces[d], p))
-        cob_cells.update((d - a, a) for a in range(d + 1) if a not in lpows)
-    nrows = 1 + max((r for (r, _) in cob_cells), default=-1)
+        taken = set(_orders(ideal.pieces[d], p)) if d >= T.mu else ()
+        for a in range(d + 1):
+            if a not in taken:
+                rows[d - a].append(a)
+    while rows and not rows[-1]:
+        rows.pop()
     parts = []
-    for r in range(nrows):
-        cs = sorted(c for (rr, c) in cob_cells if rr == r)
-        if cs != list(range(len(cs))):
+    for r, cs in enumerate(rows):
+        if cs and cs[-1] != len(cs) - 1:
             raise NotAnIdeal(f"initial monomials are not left-justified in row {r}")
         parts.append(len(cs))
     if 0 in parts or any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

@@ -38,9 +38,13 @@ def rref(rows, ncols, col_order=None):
     a positive entry at its pivot; dividing it by that entry gives the
     rational echelon row.
     """
+    return _rref_primitive([integer_model(r) for r in rows], ncols, col_order)
+
+
+def _rref_primitive(m, ncols, col_order=None):
+    """:func:`rref` of a new list ``m`` of primitive integer rows, reordered and overwritten in place."""
     if col_order is None:
         col_order = range(ncols)
-    m = [integer_model(r) for r in rows]
     pivots = []
     nrows = len(m)
     r = 0

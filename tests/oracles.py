@@ -13,9 +13,11 @@ pushforwards and pullbacks of cell classes summed in dicts, with every
 binomial spread taken over its whole range, every partition of n by
 recursion on the largest part, the hook code read off the hooks of a shape,
 the boxes of T and the box check of a code, both read off ``T.value``, a
-depth-first search for the shapes of given diagonal lengths, and the dense
-cell built row by row from the largest degree each row reaches.  They share no
-code with the paths they check.
+depth-first search for the shapes of given diagonal lengths, the dense
+cell built row by row from the largest degree each row reaches, the pair set
+S(E) read off the hooks of the shape, and the initial ideal regrouped row by
+row from the set of its cobasis cells.  They share no code with the paths
+they check.
 
 A multi-modular determinant of integer polynomial matrices, by elimination
 modulo 62-bit primes, interpolation and Chinese remaindering, checks
@@ -34,7 +36,6 @@ from functools import lru_cache
 
 from hookcells import (
     AmbientClass, BinaryForm, BundleClass, FormSpace, HookCode, MonomialIdeal, Partition, SchubertClass,
-    pair_set_S,
 )
 from hookcells.errors import InternalError, InvalidT
 from hookcells.partitions import as_hilbert, box_complement, box_partitions, hooks
@@ -371,6 +372,40 @@ def ram_data(space, p, c_form=None):
     return tuple(ns), qram, q
 
 
+def pair_set_S(E):
+    """The pairs (mu, nu) of S(E) read off the hooks of the shape: one per
+    hook of difference one, mu = y * foot and nu = hand."""
+    out = []
+    for h in hooks(E.partition):
+        if h.difference == 1:
+            fr, fc = h.foot
+            hr, hc = h.hand
+            out.append(((fc, fr + 1), (hc, hr)))
+    return tuple(sorted(out, key=lambda pair: (_mono_key(pair[0]), _mono_key(pair[1]))))
+
+
+def initial_ideal(ideal, p):
+    """The initial monomial ideal of a graded ideal at ``p``: the set of
+    cobasis cells (d - a, a), a an L-power missing from the degree sequence
+    of the degree-d piece read off the binomial frame change, regrouped row
+    by row; None when the cells do not form a partition shape."""
+    T = ideal.hilbert_function
+    cob_cells = set()
+    for d in range(T.j + 1):
+        lpows = set(ram_data(ideal.pieces[d], p)[0]) if d >= T.mu else set()
+        cob_cells.update((d - a, a) for a in range(d + 1) if a not in lpows)
+    nrows = 1 + max((r for (r, _) in cob_cells), default=-1)
+    parts = []
+    for r in range(nrows):
+        cs = sorted(c for (rr, c) in cob_cells if rr == r)
+        if cs != list(range(len(cs))):
+            return None
+        parts.append(len(cs))
+    if 0 in parts or any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        return None
+    return MonomialIdeal(Partition(parts))
+
+
 def ideal_pieces(generators, T):
     """Degreewise pieces of the ideal generated by ``generators`` in degrees
     T.mu..T.j, each the span of every monomial multiple of every generator of
@@ -419,9 +454,9 @@ def _reduce_by_generators(g, gens, E, q):
 def standard_generators(params):
     """The standard generators of the ideal with cell coordinates ``params``,
     built on monomial dicts: each starts as its leading monomial minus the
-    free multiples of the S(E) hands, read from ``pair_set_S``, and x times
-    it, reduced against the generators of larger column, forces the rest of
-    its tail."""
+    free multiples of the S(E) hands, read off the hooks by ``pair_set_S``,
+    and x times it, reduced against the generators of larger column, forces
+    the rest of its tail."""
     E = params.ideal
     q = E.column_heights()
     p0 = len(q) - 1

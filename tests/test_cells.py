@@ -150,6 +150,14 @@ def test_params_must_match_pair_set():
         CellParams(E, {((0, 2), (1, 1)): F(1), ((9, 9), (8, 8)): F(1)})
 
 
+def test_params_keyed_by_mixed_types_name_the_unexpected_and_missing_pairs():
+    with pytest.raises(InconsistentParams) as info:
+        CellParams(ideal_of([2, 2]), {1: 2, "a": 3})
+    assert str(info.value) == (
+        "values must match S(E): unexpected ['a', 1], missing [((0, 2), (1, 1))]"
+    )
+
+
 def test_params_from_json_refuse_a_repeated_pair():
     data = CellParams.zeros(ideal_of([3, 1])).to_json()
     data["params"].append({**data["params"][0], "value": "5"})

@@ -2,8 +2,9 @@
 determinant paths, the integer Wronskian, the filtered rational root
 search and its mod-p no-root certificate, the Horner frame change, the
 vanishing orders read off the given rows, membership by pivot reduction,
-the one-pass generator rows, the stored Wronskian and the triangular ideal
-pieces against the slow paths in ``oracles``, ``linalg.in_rowspace`` and
+the one-pass generator rows, the stored Wronskian, the triangular ideal
+pieces, the one-scan pair sets and the one-pass initial shape against the
+slow paths in ``oracles``, ``linalg.in_rowspace`` and
 ``change_basis``."""
 
 import copy
@@ -611,15 +612,21 @@ cell_values = st.one_of(
 
 
 @st.composite
-def cell_params(draw, max_n=12):
-    """Random coordinates on the cell of a random shape with at most max_n
-    boxes: zero, small and large-denominator values."""
-    left = draw(st.integers(1, max_n))
+def shapes(draw, min_n, max_n):
+    """A random partition of min_n to max_n boxes."""
+    left = draw(st.integers(min_n, max_n))
     parts = []
     while left:
         parts.append(draw(st.integers(1, min(left, parts[-1] if parts else left))))
         left -= parts[-1]
-    E = MonomialIdeal(Partition(parts))
+    return Partition(parts)
+
+
+@st.composite
+def cell_params(draw, max_n=12):
+    """Random coordinates on the cell of a random shape with at most max_n
+    boxes: zero, small and large-denominator values."""
+    E = MonomialIdeal(draw(shapes(1, max_n)))
     return CellParams(E, {pair: draw(cell_values) for pair in pair_set_S(E)})
 
 
@@ -630,3 +637,23 @@ def test_build_ideal_pieces_match_overcomplete_span(params):
     assert ideal.generators == oracles.standard_generators(params)
     assert ideal.pieces == oracles.ideal_pieces(ideal.generators, ideal.hilbert_function)
     assert initial_ideal(ideal) == params.ideal
+
+
+@SETTINGS
+@given(shapes(0, 40))
+def test_pair_set_matches_the_hooks(parts):
+    E = MonomialIdeal(parts)
+    want = oracles.pair_set_S(E)
+    assert pair_set_S(E) == want
+    # one degree below and one above every hand: degrees without pairs
+    top = max((r + pr - 1 for r, pr in enumerate(parts)), default=-1)
+    for d in range(-1, top + 2):
+        assert pair_set_S(E, d) == tuple(pair for pair in want if sum(pair[0]) == d)
+
+
+@SETTINGS
+@given(cell_params(max_n=10), points)
+def test_initial_ideal_matches_the_regrouped_cells(params, p):
+    ideal = build_ideal(params)
+    for pt in (POINT_X, POINT_Y, p):
+        assert initial_ideal(ideal, pt) == oracles.initial_ideal(ideal, pt)
