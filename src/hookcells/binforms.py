@@ -189,17 +189,10 @@ class FormSpace:
                 row = [-x for x in row]
             for done, q in zip(red, piv):
                 if row[q]:
-                    g = math.gcd(done[q], row[q])
-                    s, t = done[q] // g, row[q] // g
-                    row = [s * x - t * y for x, y in zip(row, done)]
-                    g = math.gcd(*row)
-                    if g > 1:
-                        row = [x // g for x in row]
+                    row = linalg._clear(row, done, q)
             red.append(row)
             piv.append(p)
-        space = object.__new__(cls)
-        space._fill(degree, red[::-1], piv[::-1], rows)
-        return space
+        return object.__new__(cls)._fill(degree, red[::-1], piv[::-1], rows)
 
     def _fill(self, degree, red, piv, given):
         object.__setattr__(self, "degree", degree)
@@ -207,6 +200,7 @@ class FormSpace:
         object.__setattr__(self, "pivots", tuple(piv))
         object.__setattr__(self, "_given", tuple(map(tuple, given)))
         object.__setattr__(self, "_wronskian", None)
+        return self
 
     @staticmethod
     def _row(degree, f):
@@ -225,8 +219,8 @@ class FormSpace:
     def span(cls, degree: int, forms) -> "FormSpace":
         """Like the constructor but silently drops dependent forms."""
         rows = [cls._row(degree, f) for f in forms]
-        red, _ = linalg.rref(rows, degree + 1, col_order=range(degree, -1, -1))
-        return cls(degree, red)
+        red, piv = linalg.rref(rows, degree + 1, col_order=range(degree, -1, -1))
+        return object.__new__(cls)._fill(degree, red, piv, red)
 
     def __repr__(self):
         return f"FormSpace({self.degree}, dim={self.dim})"
@@ -256,6 +250,7 @@ class FormSpace:
     def _holds(self, v) -> bool:
         """:meth:`contains` for an integer coefficient row of the right
         length, taken as it is."""
+        # not linalg._clear: only zero matters here, and dividing out the content costs cell-roundtrip ~6%
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
@@ -348,8 +343,8 @@ def _orders(space: FormSpace, p: PointP1) -> tuple[int, ...]:
     increasing order: its degree sequence there, one order per dimension.
 
     At x = 0 they are the stored pivots.  Elsewhere the given rows are
-    written as polynomials in a parameter t of L, and forward elimination
-    by increasing power of t finds one new order per row.  At y = 0 the
+    written as polynomials in a parameter t of L, and inserting them by
+    their lowest power of t finds one new order per row.  At y = 0 the
     parameter is y itself, and coefficient k of a row is already that of
     y^k.  At L = x - (u/v) y, with u/v in lowest terms, a form F becomes
     F(u + t, v): since F = L^m H with H(u, v) != 0, its order in t is m.
@@ -385,38 +380,25 @@ def _orders(space: FormSpace, p: PointP1) -> tuple[int, ...]:
 
 
 def _forward_orders(rows) -> tuple[int, ...]:
-    """The increasing pivot columns of fraction-free forward elimination on
-    the independent integer ``rows``, taking the smallest leading column
-    first: the orders of the span, one per row.  Each step clears that
-    column from the other rows that lead there by cross-multiplying, and
-    leaves the rest alone."""
-    todo = [(_lead(row), row) for row in rows]
-    orders = []
-    while todo:
-        m, top = min(todo, key=lambda pair: pair[0])
-        rest = []
-        for k, row in todo:
-            if row is top:
-                continue
-            if k == m:
-                g = math.gcd(top[m], row[m])
-                s, t = top[m] // g, row[m] // g
-                row = [s * x - t * y for x, y in zip(row, top)]
-                k = _lead(row)
-                g = math.gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-            rest.append((k, row))
-        orders.append(m)
-        todo = rest
-    return tuple(orders)
+    """The increasing leading columns of an echelon basis of the span of the
+    independent integer ``rows``, one per row, which depend on the span
+    only: each row is cleared at its leading column by the basis row
+    already leading there, until that column is new."""
+    basis = {}
+    for row in rows:
+        k = _lead(row)
+        while k in basis:
+            row = linalg._clear(row, basis[k], k)
+            k = _lead(row)
+        basis[k] = row
+    return tuple(sorted(basis))
 
 
 def _lead(row) -> int:
     """The first nonzero column of a row of independent rows."""
     k = next((k for k, c in enumerate(row) if c), None)
     if k is None:
-        raise InternalError("forward elimination met a zero row in an independent basis")
+        raise InternalError("elimination met a zero row in an independent basis")
     return k
 
 

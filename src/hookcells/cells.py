@@ -23,7 +23,8 @@ from .binforms import BinaryForm, FormSpace, PointP1, POINT_X, _orders, ram_data
 from .errors import InconsistentParams, InternalError, NotAnIdeal, NotInBigCell, OutOfRange
 from .hookcode import HookCode, decode
 from .partitions import (
-    HilbertFunction, Partition, _decimal, _rational, as_hilbert, hooks, ramification_partition, t_invariants,
+    HilbertFunction, Partition, _conjugate, _decimal, _rational, as_hilbert, hooks, ramification_partition,
+    t_invariants,
 )
 
 Monomial = tuple[int, int]
@@ -84,15 +85,7 @@ class MonomialIdeal:
     def column_heights(self) -> tuple[int, ...]:
         """q(c) for c = 0..p0: the y-power of the lowest ideal monomial with
         x-power c.  The sequence is the dual partition followed by 0."""
-        parts, q = self.partition.parts, []
-        for r in range(len(parts), 0, -1):
-            q += [r] * (parts[r - 1] - len(q))
-        return (*q, 0)
-
-    def betas(self) -> tuple[Monomial, ...]:
-        """The chain x^c y^(q(c)), c = 0..p0, just below the shape."""
-        q = self.column_heights()
-        return tuple((c, q[c]) for c in range(len(q)))
+        return (*_conjugate(self.partition.parts), 0)
 
 
 def pair_set_S(E: MonomialIdeal, degree: int | None = None) -> tuple[tuple[Monomial, Monomial], ...]:
@@ -308,6 +301,7 @@ def build_ideal(params: CellParams) -> GradedIdeal:
             m = (d + 1 - yp, yp)
             if g[yp] and E.contains(m):
                 row = _multiple(m, gens, q)
+                # not linalg._clear: f is scaled along with g, so g keeps its content
                 h = math.gcd(row[yp], g[yp])
                 s, t = row[yp] // h, g[yp] // h
                 g = [s * u - t * v for u, v in zip(g, row)]

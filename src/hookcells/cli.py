@@ -19,7 +19,9 @@ from .errors import HookcellsError, InputFileError
 
 
 def dumps(data) -> str:
-    return json.dumps(data)
+    """The JSON text of ``data``; ``OutOfRange`` for an integer past the
+    interpreter's digit limit, which JSON writes as digits too."""
+    return partitions._decimal(data, json.dumps)
 
 
 def _ints(text):

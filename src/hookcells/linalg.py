@@ -58,18 +58,24 @@ def _rref_primitive(m, ncols, col_order=None):
         if prow[c] < 0:
             prow = [-x for x in prow]
         m[src], m[r] = m[r], prow
-        a = prow[c]
         for i in range(nrows):
-            b = m[i][c]
-            if b and i != r:
-                g = math.gcd(a, b)
-                s, t = a // g, b // g
-                row = [s * x - t * y for x, y in zip(m[i], prow)]
-                g = math.gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
+            if m[i][c] and i != r:
+                m[i] = _clear(m[i], prow, c)
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+def _clear(row, prow, c):
+    """The primitive multiple of ``prow[c] * row - row[c] * prow``: integer
+    ``row`` cleared at column ``c`` by the pivot row ``prow``, both nonzero
+    there: the step of :func:`rref`, ``FormSpace._of_triangular_rows`` and
+    ``binforms._forward_orders``."""
+    g = math.gcd(prow[c], row[c])
+    s, t = prow[c] // g, row[c] // g
+    out = [s * x - t * y for x, y in zip(row, prow)]
+    g = math.gcd(*out)
+    return [x // g for x in out] if g > 1 else out
 
 
 def rank(rows, ncols):

@@ -64,13 +64,13 @@ def _rational(value, what: str, error=ValueError) -> Fraction:
     raise error(f"{what} must be an exact rational, got {value!r}")
 
 
-def _decimal(value) -> str:
-    """``str(value)`` for an integer or a ``Fraction``; ``OutOfRange`` when
-    one of its integers has more decimal digits than the interpreter writes
-    as text (``sys.get_int_max_str_digits()``), where ``str`` raises a bare
-    ValueError.  The limit itself is left as it is."""
+def _decimal(value, write=str) -> str:
+    """``write(value)``, by default ``str`` of an integer or a ``Fraction``;
+    ``OutOfRange`` when one of its integers has more decimal digits than the
+    interpreter writes as text (``sys.get_int_max_str_digits()``), where
+    ``write`` raises a bare ValueError.  The limit itself is left as it is."""
     try:
-        return str(value)
+        return write(value)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise OutOfRange(f"a number of the result has more than {limit} decimal digits") from None
@@ -114,22 +114,12 @@ class Partition:
     def __repr__(self):
         return f"Partition({list(self.parts)})"
 
-    @property
-    def weight(self) -> int:
-        """Number of cells."""
-        return sum(self.parts)
-
     def cells(self):
         return [(r, c) for r, pr in enumerate(self.parts) for c in range(pr)]
 
-    def col_len(self, c: int) -> int:
-        return sum(1 for pr in self.parts if pr > c)
-
     def dual(self) -> "Partition":
         """Conjugate shape (rows and columns switched)."""
-        if not self.parts:
-            return Partition()
-        return Partition(self.col_len(c) for c in range(self.parts[0]))
+        return Partition(_conjugate(self.parts))
 
     def diagonal_profile(self) -> tuple[int, ...]:
         """Raw count of cells on each anti-diagonal."""
@@ -186,9 +176,18 @@ class Hook:
         return self.row + self.col + self.arm - 1
 
 
+def _conjugate(parts) -> list[int]:
+    """The column lengths of the shape with weakly decreasing ``parts``, left
+    to right: its conjugate partition, in one pass up the rows."""
+    q = []
+    for r in range(len(parts), 0, -1):
+        q += [r] * (parts[r - 1] - len(q))
+    return q
+
+
 def hooks(p: Partition) -> tuple[Hook, ...]:
     """One hook per cell of the shape."""
-    cols = [p.col_len(c) for c in range(p.parts[0])] if p else []
+    cols = _conjugate(p.parts)
     return tuple(
         Hook(r, c, p.parts[r] - c, cols[c] - r)
         for r, pr in enumerate(p.parts)

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BoxMismatch, DimensionMismatch, MalformedE, OutOfRange, ShapeMismatch
-from .partitions import _index, ramification_partition, signed_sum
+from .partitions import _decimal, _index, ramification_partition, signed_sum
 
 
 def _norm_partition(parts) -> tuple[int, ...]:
@@ -127,7 +127,7 @@ class Combination:
 
     def __str__(self):
         return signed_sum(
-            [self._monomial(k) if c == 1 else f"{c}*{self._monomial(k)}" for k, c in self.terms]
+            [self._monomial(k) if c == 1 else f"{_decimal(c)}*{self._monomial(k)}" for k, c in self.terms]
         )
 
 

@@ -310,7 +310,8 @@ def rational_roots(p):
         mult = 0
         while eval_at(fp, r) == 0:
             fp, rem = divmod_(fp, [-r, Fraction(1)])
-            assert _is_zero(rem)
+            if not _is_zero(rem):
+                raise AssertionError(f"root {r} left the remainder {rem}")
             mult += 1
         if mult:
             roots[r] = mult
@@ -368,7 +369,8 @@ def ram_data(space, p, c_form=None):
     qram = tuple(sorted((n - i for i, n in enumerate(ns)), reverse=True))
     cob = sorted(j - k for k in range(j + 1) if k not in set(lc.pivots))
     q = tuple(sorted((a - i for i, a in enumerate(cob)), reverse=True))
-    assert qram == conjugate_with_zeros(box_complement(q, j + 1 - d, d), d)
+    if qram != conjugate_with_zeros(box_complement(q, j + 1 - d, d), d):
+        raise AssertionError(f"qram {qram} is not dual to the code {q}")
     return tuple(ns), qram, q
 
 

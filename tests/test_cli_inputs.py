@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -196,6 +197,29 @@ def test_result_past_the_digit_limit_is_a_domain_error(tmp_path, capsys, argv, p
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("OutOfRange: a number of the result has more than 4300 decimal digits")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.fixture
+def digit_limit_640():
+    """The interpreter's digit limit lowered to 640 for one test, so that
+    small class-ring products pass it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv", [
+    ["ring", "mul", "--mu", "1200", "--j", "12000", "--x", "300,300", "--y", "300,300"],
+    ["secant", "pullback", "--mu", "1200", "--j", "12000", "--i", "300"],
+], ids=["ring-mul", "secant-pullback"])
+def test_class_coefficient_past_the_digit_limit_is_a_domain_error(capsys, digit_limit_640, argv, fmt):
+    code = main([*argv, "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("OutOfRange: a number of the result has more than 640 decimal digits")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -576,6 +576,59 @@ def test_rref_matches_fraction_oracle(case):
     assert all(sum((a * b for a, b in zip(row, v)), F(0)) == 0 for row in rows for v in null)
 
 
+# integer entries, small or of a few hundred bits
+int_entries = st.one_of(st.integers(-9, 9), st.integers(-2**300, 2**300))
+
+
+@st.composite
+def colliding_rows(draw):
+    """Independent integer rows that lead in at most three columns, so that
+    their leading columns collide again and again, with a drawn order of
+    the same rows."""
+    ncols = draw(st.integers(1, 8))
+    nrows = draw(st.integers(1, ncols))
+    rows = []
+    for _ in range(nrows):
+        lead = draw(st.integers(0, min(2, ncols - nrows)))
+        tail = draw(st.lists(int_entries, min_size=ncols - lead - 1, max_size=ncols - lead - 1))
+        rows.append([0] * lead + [draw(int_entries.filter(bool))] + tail)
+    assume(len(oracles.rref(rows, ncols)[0]) == nrows)
+    return rows, ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(colliding_rows())
+def test_orders_are_the_pivots_of_the_echelon_form(case):
+    rows, ncols, shuffled = case
+    expect = tuple(oracles.rref(rows, ncols)[1])
+    assert binforms._forward_orders(rows) == expect
+    assert binforms._forward_orders(shuffled) == expect
+
+
+@st.composite
+def clearing_steps(draw):
+    """Two integer rows, both nonzero at a drawn column, the second sometimes
+    a multiple of the first."""
+    ncols = draw(st.integers(1, 7))
+    c = draw(st.integers(0, ncols - 1))
+    row, prow = (draw(st.lists(int_entries, min_size=ncols, max_size=ncols)) for _ in range(2))
+    if draw(st.booleans()):
+        prow = [draw(st.integers(-9, 9).filter(bool)) * x for x in row]
+    assume(row[c] and prow[c])
+    return row, prow, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(clearing_steps())
+def test_clearing_step_is_primitive_and_zero_at_its_column(case):
+    row, prow, c = case
+    out = linalg._clear(row, prow, c)
+    full = [prow[c] * x - row[c] * y for x, y in zip(row, prow)]
+    g = gcd(*full)
+    assert out[c] == 0 and gcd(*out) in (0, 1)
+    assert out == ([x // g for x in full] if g else full)
+
+
 @st.composite
 def generator_changes(draw):
     """Independent rows of a degree-j space, and other generators of the same

@@ -1,8 +1,11 @@
+from itertools import accumulate, takewhile
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hookcells import (
     HilbertFunction,
+    MonomialIdeal,
     Partition,
     count_hooks_diff,
     diagonal_lengths,
@@ -12,6 +15,7 @@ from hookcells import (
     t_invariants,
 )
 from hookcells.errors import InvalidT
+from hookcells.partitions import _conjugate
 import oracles
 
 partitions = st.lists(st.integers(1, 9), max_size=8).map(
@@ -134,6 +138,21 @@ def test_dual_is_involution(p):
     assert p.dual().dual() == p
 
 
+def _shape_within(xs, n=40):
+    """The shape of the leading entries of ``xs`` whose total stays within ``n``."""
+    kept = len(list(takewhile(lambda total: total <= n, accumulate(xs))))
+    return Partition(sorted(xs[:kept], reverse=True))
+
+
+@given(st.lists(st.integers(1, 20), max_size=40).map(_shape_within))
+def test_conjugate_matches_oracle(p):
+    cols = oracles.conjugate_with_zeros(p.parts, p.parts[0] if p else 0)
+    assert tuple(_conjugate(p.parts)) == cols
+    assert MonomialIdeal(p).column_heights() == (*cols, 0)
+    assert p.dual() == Partition(cols)
+    assert p.dual().dual() == p
+
+
 @given(partitions)
 def test_diagonals_invariant_under_dual(p):
     assert p.dual().diagonal_profile() == p.diagonal_profile()
@@ -141,7 +160,7 @@ def test_diagonals_invariant_under_dual(p):
 
 @given(partitions)
 def test_hook_count_equals_weight(p):
-    assert len(hooks(p)) == p.weight
+    assert len(hooks(p)) == sum(p.parts)
 
 
 @given(partitions)
@@ -181,11 +200,9 @@ def test_balanced_hook_counts_per_degree():
 def test_hook_difference_classes_partition_all_hooks():
     for T in hilbert_functions_upto(10):
         for p in enumerate_with_diagonal_lengths(T):
-            total = sum(
-                count_hooks_diff(p, a)
-                for a in range(-p.weight, p.weight + 1)
-            )
-            assert total == T.n == p.weight
+            n = sum(p.parts)
+            total = sum(count_hooks_diff(p, a) for a in range(-n, n + 1))
+            assert total == T.n == n
 
 
 def test_hilbert_functions_upto_count():
