@@ -50,13 +50,15 @@ class MonomialIdeal:
     """A finite-colength monomial ideal, known by its cobasis shape."""
 
     partition: Partition
-    hilbert_function: HilbertFunction
 
     def __init__(self, partition: Partition):
         if not isinstance(partition, Partition):
             partition = Partition(partition)
         object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "hilbert_function", partition.diagonal_lengths())
+
+    @property
+    def hilbert_function(self) -> HilbertFunction:
+        return self.partition.diagonal_lengths()
 
     def __repr__(self):
         return f"MonomialIdeal({list(self.partition.parts)})"
@@ -142,14 +144,6 @@ def pair_set_W(E: MonomialIdeal) -> WPairs:
 MAX_IDEAL_DEGREE = 64
 
 
-def _check_degree(partition: Partition) -> None:
-    """``OutOfRange`` when the shape's top degree, the largest r + c over its
-    cells (r, c), is above ``MAX_IDEAL_DEGREE``; one pass over its rows."""
-    j = max((r + pr - 1 for r, pr in enumerate(partition.parts)), default=-1)
-    if j > MAX_IDEAL_DEGREE:
-        raise OutOfRange(f"shape of top degree j = {j} is above the limit {MAX_IDEAL_DEGREE}")
-
-
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class CellParams:
     """A choice of rational value for every pair in S(E); ``OutOfRange`` for
@@ -159,7 +153,9 @@ class CellParams:
     values: dict
 
     def __init__(self, ideal: MonomialIdeal, values: dict):
-        _check_degree(ideal.partition)
+        j = max((r + pr - 1 for r, pr in enumerate(ideal.partition.parts)), default=-1)
+        if j > MAX_IDEAL_DEGREE:
+            raise OutOfRange(f"shape of top degree j = {j} is above the limit {MAX_IDEAL_DEGREE}")
         pairs = set(pair_set_S(ideal))
         if values.keys() != pairs:
             unexpected = sorted(values.keys() - pairs, key=repr)
@@ -185,9 +181,7 @@ class CellParams:
 
     @classmethod
     def from_json(cls, data) -> "CellParams":
-        partition = Partition.from_json(data["partition"])
-        _check_degree(partition)
-        ideal = MonomialIdeal(partition)
+        ideal = MonomialIdeal(Partition.from_json(data["partition"]))
         values = {}
         for entry in data["params"]:
             mu, nu = parse_mono(entry["mu"]), parse_mono(entry["nu"])
@@ -220,10 +214,9 @@ class GradedIdeal:
                 raise NotAnIdeal(f"missing degree-{i} piece")
             if not isinstance(pieces[i], FormSpace) or pieces[i].degree != i:
                 raise NotAnIdeal(f"degree-{i} piece is not a FormSpace of degree {i}: {pieces[i]!r}")
-            if pieces[i].dim != i + 1 - T.value(i):
-                raise NotAnIdeal(
-                    f"degree-{i} piece has dimension {pieces[i].dim}, expected {i + 1 - T.value(i)}"
-                )
+            dim = i + 1 - T.value(i)
+            if pieces[i].dim != dim:
+                raise NotAnIdeal(f"degree-{i} piece has dimension {pieces[i].dim}, expected {dim}")
         for i in range(T.mu, T.j):
             nxt = pieces[i + 1]
             for row in pieces[i].rows:
@@ -320,12 +313,7 @@ def build_ideal(params: CellParams) -> GradedIdeal:
     for d in range(T.mu, T.j + 1):
         ks = [(yp, min(d - yp, p0)) for yp in range(d + 1)]
         rows = [[0] * (yp - q[k]) + gens[k] + [0] * (d - yp - k) for yp, k in ks if yp >= q[k]]
-        space = FormSpace._of_triangular_rows(d, rows)
-        if space.dim != d + 1 - T.value(d):
-            raise InconsistentParams(
-                f"degree-{d} piece came out {space.dim}-dimensional"
-            )
-        pieces[d] = space
+        pieces[d] = FormSpace._of_triangular_rows(d, rows)
     zero = Fraction(0)
     ordered = tuple(
         BinaryForm(c + q[c], [Fraction(u, gens[c][q[c]]) if u else zero for u in gens[c]])
@@ -340,7 +328,8 @@ def initial_ideal(ideal: GradedIdeal, p: PointP1 = POINT_X) -> MonomialIdeal:
     The returned shape lives in the (L, C) frame at ``p``: its cell (r, c)
     is the monomial L^c C^r.  One pass by increasing degree d appends each
     L-power a missing from the degree-d initial monomials to row d - a, so
-    every row comes out sorted.
+    every row comes out sorted.  Diagonal d gets T(d) cells unchecked: piece
+    d has dimension d + 1 - T(d) (``GradedIdeal``), one distinct order each.
     """
     T = ideal.hilbert_function
     rows = [[] for _ in range(T.j + 1)]
@@ -358,10 +347,7 @@ def initial_ideal(ideal: GradedIdeal, p: PointP1 = POINT_X) -> MonomialIdeal:
         parts.append(len(cs))
     if 0 in parts or any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise NotAnIdeal(f"initial monomials do not form a partition shape: {parts}")
-    out = MonomialIdeal(Partition(parts))
-    if out.hilbert_function != T:
-        raise NotAnIdeal("initial ideal has the wrong Hilbert function")
-    return out
+    return MonomialIdeal(Partition(parts))
 
 
 def qram_ideal(ideal: GradedIdeal, p: PointP1) -> tuple[tuple[int, ...], ...]:

@@ -170,7 +170,7 @@ class SchubertClass(Combination):
 
     def point_coefficient(self) -> int:
         rows, cols = self.box
-        return self.coefficient((cols,) * rows)
+        return self.coefficient((cols,) * rows if cols else ())
 
     def codimensions(self) -> set[int]:
         return {sum(p) for p, _ in self.terms}

@@ -74,12 +74,24 @@ class BundleClass(Combination):
         )
 
 
+# Largest mu (j + 1 - mu) of a ring in t_multiply, iota_pullback and
+# secant_pullback (README, "Class rings"): each spreads a class over up to mu
+# binomials C(j + 1 - mu, i), each of at most j + 1 - mu bits.
+MAX_RING_SIZE = 16_000_000
+
+
+def _check_size(mu: int, j: int) -> None:
+    if mu * (j + 1 - mu) > MAX_RING_SIZE:
+        raise OutOfRange(f"mu (j + 1 - mu) is above the limit {MAX_RING_SIZE} at mu = {mu}, j = {j}")
+
+
 def _restrict(mu: int, j: int, kept, lifted) -> BundleClass:
     """The cell class with c [u, v] for every pair ((u, v), c) of ``kept``
     plus the pullback of every ambient term c zeta^u eta^v of ``lifted``:
     c [u, v] below codimension mu, and from there on the terms of the
     binomial spread sum_i C(j+1-mu, i) c [u+i-1, v-i+1] that lie in range,
-    max(0, v+1-mu) <= i <= mu-u."""
+    max(0, v+1-mu) <= i <= mu-u; ``OutOfRange`` past ``MAX_RING_SIZE``."""
+    _check_size(mu, j)
     n = j + 1 - mu
     return BundleClass.make(mu, j, kept + [t for t in lifted if sum(t[0]) < mu] + [
         ((u + i - 1, v - i + 1), c * comb(n, i))
@@ -180,13 +192,14 @@ def secant_pullback(mu: int, j: int, i: int) -> BundleClass:
 
     Extracts the coefficient of t^(mu-i) in
     (1 - zeta t)^(j-mu-i+1) (1 + eta t)^(i+1) -- signs included -- and
-    restricts it.  Requires 2*mu < j + 1 and 1 <= i <= mu; i = mu gives the
-    identity class.
+    restricts it.  Requires 2*mu < j + 1, 1 <= i <= mu and mu (j+1-mu) at most
+    ``MAX_RING_SIZE``; i = mu gives the identity class.
     """
     if not 2 * mu < j + 1:
         raise OutOfRange(f"need 2*mu < j+1, got ({mu}, {j})")
     if not 1 <= i <= mu:
         raise OutOfRange(f"rank {i} outside 1..{mu}")
+    _check_size(mu, j)
     k = mu - i
     terms = {(u, k - u): (-1) ** u * comb(j - mu - i + 1, u) * comb(i + 1, k - u) for u in range(k + 1)}
     return iota_pullback(AmbientClass.make(mu, j, terms))

@@ -19,6 +19,11 @@ S(E) read off the hooks of the shape, and the initial ideal regrouped row by
 row from the set of its cobasis cells.  They share no code with the paths
 they check.
 
+The torus weights of the tangent space Hom_R(E, R/E)_0 at a monomial ideal
+E, by linear algebra on the syzygies of adjacent generators, check
+``t_invariants`` (the dimension of G_T) and ``cells.dims`` (the dimension of
+each cell) by a route of their own.
+
 A multi-modular determinant of integer polynomial matrices, by elimination
 modulo 62-bit primes, interpolation and Chinese remaindering, checks
 ``unipoly.det`` on matrices too large for the Laplace expansion.
@@ -747,3 +752,50 @@ def big_cell(T) -> MonomialIdeal:
     if E.hilbert_function != T or len(set(parts)) != len(parts):
         raise InvalidT(f"no distinct-parts shape with diagonal lengths {list(T.t)}")
     return E
+
+
+def tangent_weights(E) -> list[int]:
+    """The torus weights of Hom_R(E, R/E)_0, the tangent space of G_T at the
+    monomial ideal E, with multiplicity, by exact linear algebra.
+
+    A degree-0 map phi sends each minimal generator g = x^a y^b to a
+    combination of the cobasis monomials n of its degree; the unknown of the
+    pair (g, n) has weight n_x - a.  The maps are the solutions of one
+    syzygy x^(a' - a) phi(g) = y^(b - b') phi(g') in R/E per pair of
+    adjacent generators g, g' = x^a' y^b' with a < a'.  Its coefficient at a
+    cobasis monomial m involves unknowns of weight m_x - a' only, so each
+    weight space is solved on its own: its dimension is the number of its
+    unknowns less the rank of its equations.
+    """
+    parts = tuple(E.partition.parts) + (0,)
+    cobasis = {(c, r) for r, pr in enumerate(parts) for c in range(pr)}
+    # the corners of the shape, x^parts[r] y^r where the row is shorter than
+    # the one above it, by increasing x-power
+    gens = [(parts[r], r) for r in range(len(parts) - 1, -1, -1) if r == 0 or parts[r] < parts[r - 1]]
+    unknowns = {}  # weight -> {(g, n): column}
+    for a, b in gens:
+        for nx in range(a + b + 1):
+            if (nx, a + b - nx) in cobasis:
+                column = unknowns.setdefault(nx - a, {})
+                column[(a, b), (nx, a + b - nx)] = len(column)
+    equations = {}  # weight -> [{column: coefficient}]
+    for (a, b), (a2, b2) in zip(gens, gens[1:]):
+        for mx in range(a2 + b + 1):
+            m = (mx, a2 + b - mx)
+            if m not in cobasis:
+                continue
+            column = unknowns.get(mx - a2, {})
+            row = {}
+            n = (mx - (a2 - a), m[1])
+            if n in cobasis:
+                row[column[(a, b), n]] = 1
+            n2 = (mx, m[1] - (b - b2))
+            if n2 in cobasis:
+                row[column[(a2, b2), n2]] = -1
+            if row:
+                equations.setdefault(mx - a2, []).append(row)
+    weights = []
+    for w, column in unknowns.items():
+        rows = [[row.get(k, 0) for k in range(len(column))] for row in equations.get(w, ())]
+        weights += [w] * (len(column) - len(rref(rows, len(column))[0]))
+    return sorted(weights)

@@ -15,7 +15,8 @@ from hookcells import MonomialIdeal, Partition, pair_set_S
 from hookcells.binforms import MAX_FORM_DEGREE
 from hookcells.cells import mono_str
 from hookcells.cli import main
-from hookcells.hookcode import MAX_CODE_CELLS
+from hookcells.hookcode import MAX_CODE_CELLS, code as hook_code
+from hookcells.secant import MAX_RING_SIZE
 
 # every command that reads a file, with the flag that names it
 FILE_COMMANDS = [
@@ -223,6 +224,35 @@ def test_class_coefficient_past_the_digit_limit_is_a_domain_error(capsys, digit_
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# above the limit on mu (j + 1 - mu): just past it, and at the two sizes that
+# ran for seconds or past 30 s before there was a limit
+ABOVE_RING_SIZE = [
+    ["ring", "mul", "--mu", "4000", "--j", "8000", "--x", "0,3999", "--y", "0,1"],
+    ["secant", "pullback", "--mu", "4000", "--j", "8000", "--i", "1"],
+    ["ring", "mul", "--mu", "6000", "--j", "60000", "--x", "1500,1500", "--y", "1500,1500"],
+    ["secant", "pullback", "--mu", "6000", "--j", "60000", "--i", "1500"],
+    ["ring", "mul", "--mu", "20000", "--j", "200000", "--x", "5000,5000", "--y", "5000,5000"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv", ABOVE_RING_SIZE, ids=lambda argv: f"{argv[0]}-{argv[3]}-{argv[5]}")
+def test_ring_above_the_size_limit_is_a_domain_error(capsys, argv, fmt):
+    start = time.perf_counter()
+    code = main([*argv, "--format", fmt])
+    assert time.perf_counter() - start < 0.1
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"OutOfRange: mu (j + 1 - mu) is above the limit {MAX_RING_SIZE} at mu = {argv[3]}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_ring_at_the_size_limit_is_accepted(capsys):
+    assert 4000 * (7999 + 1 - 4000) == MAX_RING_SIZE
+    assert main(["ring", "mul", "--mu", "4000", "--j", "7999", "--x", "0,0", "--y", "1,0"]) == 0
+    assert capsys.readouterr().out == "[0,0]*[1,0] = [1,0]\n"
+
+
 # JSON values of every kind: wrong types, floats, booleans, decimal and
 # exponent strings, integers up to the 4300 digits JSON reads, and nesting
 SCALARS = st.one_of(
@@ -293,16 +323,22 @@ def test_build_ideal_fuzz(tmp_path_factory, payload, fmt):
 
 
 def run_on_payload(tmp_path_factory, argv, payload, fmt, extra=()):
-    """Run the command with ``payload`` as its input file; check the exit
-    code, that no traceback is printed, that a domain error is one line with
-    nothing on stdout, and that it takes under 5 s."""
+    """Run the command with ``payload`` as its input file, through
+    ``run_argv``."""
     path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
     path.write_text(json.dumps(payload))
+    run_argv([*argv, str(path), *extra, "--format", fmt])
+
+
+def run_argv(argv):
+    """Run the CLI on ``argv`` inside a hypothesis test; check the exit
+    code, that no traceback is printed, that a domain error is one line with
+    nothing on stdout, and that it takes under 5 s."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main([*argv, str(path), *extra, "--format", fmt])
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert time.perf_counter() - start < 5
@@ -361,3 +397,98 @@ def test_wronskian_fuzz(tmp_path_factory, payload, fmt):
 @example(payload={"degree": MAX_FORM_DEGREE, "basis": []}, point="1,2", fmt="json")
 def test_qram_fuzz(tmp_path_factory, payload, point, fmt):
     run_on_payload(tmp_path_factory, ["qram", "--space"], payload, fmt, ["--point", point])
+
+
+# integers at the edges of a flag's range, and small ones twice as often;
+# one flag value in ten is not an integer (or a pair of them) at all
+EDGES = st.one_of(st.sampled_from([0, 10**6, 10**20, -1, -(10**20)]), st.integers(0, 12), st.integers(0, 12))
+SELDOM = st.integers(0, 9).map(lambda k: k == 5)  # not 0, which hypothesis favours
+INT_TEXTS = SELDOM.flatmap(
+    lambda bad: st.sampled_from(["", "x", "1.5", "1e3", "0x10", "1,2"]) if bad else EDGES.map(str)
+)
+PAIR_TEXTS = SELDOM.flatmap(
+    lambda bad: st.sampled_from(["1", "1,2,3", "a,1", ""]) if bad else st.builds("{},{}".format, EDGES, EDGES)
+)
+
+
+@st.composite
+def hilbert_texts(draw):
+    """``--T``: the diagonal lengths of a shape of at most 12 cells, at times
+    with an integer from the edges put in; or any list of them."""
+    if draw(RARELY):
+        t = draw(st.lists(EDGES, max_size=6))
+    else:
+        t = list(Partition(draw(small_shapes())).diagonal_lengths().t)
+        if draw(RARELY):
+            t.insert(draw(st.integers(0, len(t))), draw(EDGES))
+    return ",".join(map(str, t))
+
+
+@st.composite
+def code_texts(draw):
+    """``--code``: the hook code of a shape of at most 12 cells as JSON, at
+    times with an entry from the edges; or any list of lists of them."""
+    if draw(RARELY):
+        qs = draw(st.lists(st.lists(EDGES, max_size=3), max_size=4))
+    else:
+        qs = [list(q) for q in hook_code(Partition(draw(small_shapes()))).qs]
+        if qs and draw(RARELY):
+            q = draw(st.sampled_from(qs))
+            q.insert(draw(st.integers(0, len(q))), draw(EDGES))
+    return json.dumps(qs)
+
+
+def argv(*words, flags=st.just({})):
+    """The argv of a command: its words, then the flags of a drawn dict of
+    flag values and a format; one time in ten a flag is left out, and one
+    time in ten an unknown flag is added."""
+
+    @st.composite
+    def build(draw):
+        values = {**draw(flags), "format": draw(st.sampled_from(["table", "json"]))}
+        if draw(SELDOM):
+            del values[draw(st.sampled_from(sorted(values)))]
+        out = [*words, *(x for name, value in values.items() for x in (f"--{name}", value))]
+        return out + ["--bogus", "1"] if draw(SELDOM) else out
+
+    return build()
+
+
+@st.composite
+def ring_in_range(draw, command):
+    """Flags of ``ring mul`` or ``secant pullback`` that name a product or a
+    pullback: mu up to 12, j up to 40, basis classes [a, b] and ranks i."""
+    mu = draw(st.integers(1, 12))
+    if command == "ring mul":
+        x, y = (f"{draw(st.integers(0, mu - 1))},{draw(st.integers(0, mu))}" for _ in "xy")
+        return {"mu": str(mu), "j": str(draw(st.integers(0, 40))), "x": x, "y": y}
+    return {"mu": str(mu), "j": str(draw(st.integers(2 * mu, 40))), "i": str(draw(st.integers(1, mu)))}
+
+
+COMMANDS = {
+    "cells enum": argv("cells", "enum", flags=st.fixed_dictionaries({"T": hilbert_texts()})),
+    "code": argv("code", flags=st.fixed_dictionaries({"partition": st.one_of(
+        st.builds(lambda parts: ",".join(map(str, parts)), small_shapes()), INT_TEXTS, PAIR_TEXTS,
+    )})),
+    "decode": argv("decode", flags=st.fixed_dictionaries({"T": hilbert_texts(), "code": code_texts()})),
+    "betti": argv("betti", flags=st.fixed_dictionaries({"T": hilbert_texts()})),
+    "grass degree": argv("grass", "degree", flags=st.fixed_dictionaries({"d": INT_TEXTS, "n": INT_TEXTS})),
+    "ring mul": argv("ring", "mul", flags=st.one_of(
+        ring_in_range("ring mul"),
+        st.fixed_dictionaries({"mu": INT_TEXTS, "j": INT_TEXTS, "x": PAIR_TEXTS, "y": PAIR_TEXTS}),
+    )),
+    "secant pullback": argv("secant", "pullback", flags=st.one_of(
+        ring_in_range("secant pullback"), st.fixed_dictionaries({"mu": INT_TEXTS, "j": INT_TEXTS, "i": INT_TEXTS}),
+    )),
+    "example-7-4": argv("example-7-4"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_command_fuzz(command, data):
+    """Any argv built from a command's flags ends in a result (exit 0), a
+    one-line domain error (exit 1) or a usage error (exit 2), never in a
+    traceback, and in bounded time."""
+    run_argv(data.draw(COMMANDS[command], label="argv"))

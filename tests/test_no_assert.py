@@ -1,5 +1,6 @@
 """The library's checks must still run under ``python -O``, which strips
-``assert`` statements, so no library module may use one."""
+``assert`` statements, so no library module may use one; nor may the
+reference code in ``tests/oracles.py``, whose checks the tests rely on."""
 
 import ast
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import hookcells
 
-SOURCES = sorted(Path(hookcells.__file__).parent.glob("*.py"))
+SOURCES = [*sorted(Path(hookcells.__file__).parent.glob("*.py")), Path(__file__).with_name("oracles.py")]
 
 # prints the optimization level, then the class of the error each check raises
 UNDER_O = """

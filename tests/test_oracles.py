@@ -5,7 +5,9 @@ vanishing orders read off the given rows, membership by pivot reduction,
 the one-pass generator rows, the stored Wronskian, the triangular ideal
 pieces, the one-scan pair sets and the one-pass initial shape against the
 slow paths in ``oracles``, ``linalg.in_rowspace`` and
-``change_basis``."""
+``change_basis``; the Hilbert function a monomial ideal derives from its
+shape; and the tangent spaces at the torus-fixed points against
+``t_invariants`` and ``cells.dims``."""
 
 import copy
 import math
@@ -29,10 +31,13 @@ from hookcells import (
     PointP1,
     build_ideal,
     change_basis,
+    diagonal_lengths,
+    dims,
     initial_ideal,
     pair_set_S,
     point_valuation,
     ram_data,
+    t_invariants,
     total_ramification_check,
     wronskian,
 )
@@ -707,6 +712,39 @@ def test_pair_set_matches_the_hooks(parts):
 @SETTINGS
 @given(cell_params(max_n=10), points)
 def test_initial_ideal_matches_the_regrouped_cells(params, p):
+    """The one-pass shape is the regrouped one, and has the ideal's Hilbert
+    function, which ``initial_ideal`` does not check."""
     ideal = build_ideal(params)
     for pt in (POINT_X, POINT_Y, p):
-        assert initial_ideal(ideal, pt) == oracles.initial_ideal(ideal, pt)
+        E = initial_ideal(ideal, pt)
+        assert E.hilbert_function == ideal.hilbert_function
+        assert E == oracles.initial_ideal(ideal, pt)
+
+
+@SETTINGS
+@given(shapes(0, 40))
+def test_monomial_ideal_derives_its_hilbert_function(p):
+    """The Hilbert function read off the stored shape counts its cells on
+    each antidiagonal; equality, hashing, copies and pickles see the shape."""
+    E = MonomialIdeal(p)
+    count = Counter(r + c for r, pr in enumerate(p.parts) for c in range(pr))
+    assert E.hilbert_function == diagonal_lengths(p)
+    assert E.hilbert_function.t == tuple(count[d] for d in range(len(count)))
+    fresh = MonomialIdeal(Partition(list(p.parts)))
+    for other in (fresh, copy.copy(E), copy.deepcopy(E), pickle.loads(pickle.dumps(E))):
+        assert other == E and hash(other) == hash(E) and repr(other) == repr(E)
+        assert other.partition == p and other.hilbert_function == E.hilbert_function
+
+
+def test_tangent_space_at_every_fixed_point():
+    """G_T is smooth with isolated torus-fixed points, and each cell has as
+    many dimensions as the tangent space at its centre has positive weights
+    (Bialynicki-Birula): checked on the weights of Hom_R(E, R/E)_0 from
+    ``oracles.tangent_weights``, for every shape of at most 16 cells."""
+    for n in range(17):
+        for p in oracles.partitions_of(n):
+            E = MonomialIdeal(p)
+            weights = oracles.tangent_weights(E)
+            assert 0 not in weights
+            assert len(weights) == t_invariants(E.hilbert_function).dim_gt
+            assert sum(w > 0 for w in weights) == dims(E).dim_v
