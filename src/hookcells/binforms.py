@@ -11,7 +11,7 @@ are ordered ``y^j < x y^(j-1) < ... < x^j`` (increasing x-power), and the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, unipoly
@@ -131,76 +131,95 @@ POINT_Y = PointP1(0, 1)  # the point y = 0
 MAX_FORM_DEGREE = 10_000
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class FormSpace:
-    """A subspace of the degree-j forms, held as a reduced row echelon basis.
+    """A subspace of the degree-j forms, held as a row echelon basis.
 
     Pivot search runs through the monomials in increasing order, so each
     basis row's initial monomial is a pivot and row i has strictly larger
     x-adic valuation than row i-1.
 
-    ``rows`` stores each echelon row as its primitive integer multiple with
-    a positive entry at the pivot.  The reduced row echelon basis of a space
-    is unique, and so is that multiple of each of its rows, so two spaces are
-    equal (and hash equally) exactly when they are the same subspace.
-    ``basis`` gives the rational echelon rows, each stored row divided by its
-    pivot entry.
+    The space stores the echelon basis its construction yields: primitive
+    integer rows, each ending at its pivot with a positive entry, the pivots
+    decreasing, no row cleared above its pivot.  Membership, the closure
+    check of an ideal and the frame change read them as they are.
+
+    ``rows``, formed on first read and kept, is the reduced row echelon
+    basis, each row its primitive integer multiple with a positive entry at
+    the pivot.  That basis is unique, and so is that multiple of each of its
+    rows, so two spaces are equal (and hash equally) exactly when they are
+    the same subspace.  ``basis`` gives the rational reduced rows, each
+    divided by its pivot entry.
 
     A space also keeps the rows it was built from, each as its primitive
     integer multiple: a basis whose entries are usually much smaller than
-    those of the echelon rows, which are minors of it.  The work that does
+    those of the reduced rows, which are minors of it.  The work that does
     not depend on the basis runs on them: the Wronskian (:func:`wronskian`)
     and the vanishing orders at a point other than x = 0 (:func:`ram_data`,
     :func:`initial_space`).  It keeps its integer Wronskian polynomial too,
     once :func:`wronskian` or :func:`total_ramification_check` has computed
-    it, so the two share one determinant.  Neither the given rows nor the
-    stored polynomial is part of equality, hashing, ``repr`` or ``to_json``.
+    it, so the two share one determinant.  Only the degree, the reduced
+    rows and the pivots take part in equality, hashing, ``repr`` and
+    ``to_json``.
     """
 
     degree: int
-    rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
-    _given: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
-    _wronskian: tuple | None = field(default=None, compare=False, repr=False)
+    _echelon: tuple[tuple[int, ...], ...]
+    _given: tuple[tuple[int, ...], ...]
+    _wronskian: tuple | None
+    _reduced: tuple[tuple[int, ...], ...] | None
 
     def __init__(self, degree: int, forms):
         given = [linalg.integer_model(self._row(degree, f)) for f in forms]
-        red, piv = linalg._rref_primitive(list(given), degree + 1, col_order=range(degree, -1, -1))
-        if len(red) != len(given):
-            raise DegenerateBasis(f"{len(given)} forms span only {len(red)} dimensions")
-        self._fill(degree, red, piv, given)
+        ech, piv = linalg._rref_primitive(list(given), degree + 1, range(degree, -1, -1), reduced=False)
+        if len(ech) != len(given):
+            raise DegenerateBasis(f"{len(given)} forms span only {len(ech)} dimensions")
+        self._fill(degree, ech, piv, given)
 
     @classmethod
     def _of_triangular_rows(cls, degree: int, rows) -> "FormSpace":
         """The space spanned by ``rows``, a list of primitive integer rows
         of length ``degree + 1`` whose initial monomials (last nonzero
         entries) fall in strictly increasing columns: the constructor
-        without reading the rows or searching for pivots.  Each row is
-        cleared at the earlier pivots by the rows already reduced, which are
-        zero at every other pivot and past their own, so one pass gives the
-        reduced echelon rows.  Rows out of that order, a zero row included,
-        are a :class:`DegenerateBasis`."""
-        red, piv = [], []
+        without reading the rows or searching for pivots.  The rows are an
+        echelon basis already and are stored as they are, each with a
+        positive entry at its pivot.  Rows out of that order, a zero row
+        included, are a :class:`DegenerateBasis`."""
+        ech, piv = [], []
         for row in rows:
             p = max((k for k, c in enumerate(row) if c), default=-1)
             if p <= (piv[-1] if piv else -1):
                 raise DegenerateBasis(f"rows of degree {degree} do not have increasing initial monomials")
-            if row[p] < 0:
-                row = [-x for x in row]
-            for done, q in zip(red, piv):
-                if row[q]:
-                    row = linalg._clear(row, done, q)
-            red.append(row)
+            ech.append([-x for x in row] if row[p] < 0 else row)
             piv.append(p)
-        return object.__new__(cls)._fill(degree, red[::-1], piv[::-1], rows)
+        return object.__new__(cls)._fill(degree, ech[::-1], piv[::-1], rows)
 
-    def _fill(self, degree, red, piv, given):
+    def _fill(self, degree, ech, piv, given):
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "rows", tuple(map(tuple, red)))
         object.__setattr__(self, "pivots", tuple(piv))
+        object.__setattr__(self, "_echelon", tuple(map(tuple, ech)))
         object.__setattr__(self, "_given", tuple(map(tuple, given)))
         object.__setattr__(self, "_wronskian", None)
+        object.__setattr__(self, "_reduced", None)
         return self
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The reduced row echelon basis, each row primitive with a positive
+        pivot entry: the stored rows cleared above their pivots, once."""
+        if self._reduced is None:
+            red, _ = linalg._rref_primitive(list(self._echelon), self.degree + 1, self.pivots)
+            object.__setattr__(self, "_reduced", tuple(map(tuple, red)))
+        return self._reduced
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.pivots) == (other.degree, other.pivots) and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.degree, self.rows, self.pivots))
 
     @staticmethod
     def _row(degree, f):
@@ -234,24 +253,25 @@ class FormSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     @property
     def codim(self) -> int:
         return self.degree + 1 - self.dim
 
     def contains(self, form) -> bool:
-        """Membership by reduction against the stored rows: each row is 0 at
-        every other pivot, so cross-multiplying at each pivot in turn clears
-        the form there, and leaves zero exactly when the form lies in the
-        space.  ``form`` is a :class:`BinaryForm` or a coefficient row."""
+        """Membership by reduction against the stored echelon rows: each row
+        is 0 past its pivot, so cross-multiplying at each pivot from the
+        highest down clears the form there for good, and leaves zero exactly
+        when the form lies in the space.  ``form`` is a :class:`BinaryForm`
+        or a coefficient row."""
         return self._holds(linalg.integer_model(self._row(self.degree, form)))
 
     def _holds(self, v) -> bool:
         """:meth:`contains` for an integer coefficient row of the right
         length, taken as it is."""
         # not linalg._clear: only zero matters here, and dividing out the content costs cell-roundtrip ~6%
-        for row, p in zip(self.rows, self.pivots):
+        for row, p in zip(self._echelon, self.pivots):
             c = v[p]
             if c:
                 a = row[p]
@@ -327,7 +347,7 @@ def change_basis(space: FormSpace, p: PointP1) -> FormSpace:
     for _ in range(j):
         y_pows.append(unipoly.mul_linear(y_pows[-1], yu, yv))
     rows = []
-    for coeffs in space.rows:
+    for coeffs in space._echelon:
         # homogeneous Horner: acc <- acc * x + c_k y^k
         acc = [coeffs[0]]
         for k in range(1, j + 1):
@@ -429,8 +449,9 @@ def wronskian(space: FormSpace) -> BinaryForm:
     """
     n_deg, w = _wronskian_poly(space)
     # the coefficient of x^m y^(n_deg - m) sits at index n_deg - m
-    lead = w[-1]
-    return BinaryForm(n_deg, [0] * (n_deg + 1 - len(w)) + [Fraction(c, lead) for c in reversed(w)])
+    lead, zero = w[-1], Fraction(0)
+    coeffs = [Fraction(c, lead) if c else zero for c in reversed(w)]
+    return BinaryForm(n_deg, [zero] * (n_deg + 1 - len(w)) + coeffs)
 
 
 def _wronskian_poly(space: FormSpace):
@@ -440,15 +461,24 @@ def _wronskian_poly(space: FormSpace):
     it.
 
     Row k of the matrix holds the Taylor coefficients f^(k) / k! of the
-    stored integer rows, smaller than the derivatives; the factors k! and
+    given integer rows, smaller than the derivatives; the factors k! and
     the rows' scalings only scale the result.  The division by k is exact,
     since i C(i+k-1, k-1) = k C(i+k-1, k).
 
-    The matrix is T A^t, with A the d x (j+1) stored rows and T[k][s] =
+    The matrix is T A^t, with A the d x (j+1) given rows and T[k][s] =
     C(s, k) x^(s-k), so by Cauchy-Binet its determinant is the sum over the
     d-subsets S of {0..j} of det A_S det B_S x^(sum S - C(d, 2)), with
     B[k][s] = C(s, k).  Its degree is at most max sum S - 2 C(d, 2) =
     d * codim, and ``_wronskian_height`` bounds its coefficients.
+
+    A given row f_i = x^(o_i) g_i of x-adic order o_i has Taylor
+    coefficients divisible by x^(o_i - k).  When the orders sum to
+    s = sum o_i - C(d, 2) > 0, row k is multiplied by x^k and column i
+    divided by x^(o_i): entry (k, i) becomes sum_t C(t + o_i, k) g_t x^t,
+    a polynomial, and the determinant W / x^s, with the same coefficients
+    and a degree bound lower by s.  Each step k - 1 -> k multiplies the
+    coefficient of x^t by (t + o_i - k + 1) / k, again exactly.  The s
+    zeros are put back in the stored polynomial.
     """
     if space._wronskian is not None:
         return space._wronskian
@@ -456,15 +486,23 @@ def _wronskian_poly(space: FormSpace):
     if d < 1:
         raise DegenerateBasis("Wronskian needs a nonzero space")
     n_deg = d * space.codim
-    rows = [[unipoly.trim(row[::-1]) for row in space._given]]
-    for k in range(1, d):
-        rows.append([[i * q[i] // k for i in range(1, len(q))] or [0] for q in rows[-1]])
-    w = unipoly.trim(unipoly.det(rows, n_deg, _wronskian_height(space)))
+    polys = [unipoly.trim(row[::-1]) for row in space._given]
+    orders = [next(t for t, c in enumerate(q) if c) for q in polys]
+    shift = sum(orders) - d * (d - 1) // 2
+    if shift > 0:
+        rows = [[q[o:] for q, o in zip(polys, orders)]]
+        for k in range(1, d):
+            rows.append([[c * (t + o - k + 1) // k for t, c in enumerate(q)] for q, o in zip(rows[-1], orders)])
+    else:
+        shift, rows = 0, [polys]
+        for k in range(1, d):
+            rows.append([[i * q[i] // k for i in range(1, len(q))] or [0] for q in rows[-1]])
+    w = unipoly.trim(unipoly.det(rows, n_deg - shift, _wronskian_height(space)))
     if unipoly.is_zero(w):
         raise InternalError(f"zero Wronskian for the independent basis {space.basis}")
-    if len(w) > n_deg + 1:
-        raise InternalError(f"Wronskian of degree {len(w) - 1} exceeds dim * codim = {n_deg}")
-    object.__setattr__(space, "_wronskian", (n_deg, tuple(w)))
+    if shift + len(w) > n_deg + 1:
+        raise InternalError(f"Wronskian of degree {shift + len(w) - 1} exceeds dim * codim = {n_deg}")
+    object.__setattr__(space, "_wronskian", (n_deg, (0,) * shift + tuple(w)))
     return space._wronskian
 
 

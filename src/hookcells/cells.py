@@ -219,7 +219,7 @@ class GradedIdeal:
                 raise NotAnIdeal(f"degree-{i} piece has dimension {pieces[i].dim}, expected {dim}")
         for i in range(T.mu, T.j):
             nxt = pieces[i + 1]
-            for row in pieces[i].rows:
+            for row in pieces[i]._echelon:
                 # (*row, 0) is x * f and (0, *row) is y * f, integer rows
                 if not (nxt._holds((*row, 0)) and nxt._holds((0, *row))):
                     raise NotAnIdeal(f"degree-{i} piece is not closed under multiplication")
@@ -438,7 +438,7 @@ def small_grass_coords(ideal: GradedIdeal) -> tuple[SmallGrassChart, ...]:
         # column in a coefficient row is its y-power.
         outside = [yp for yp in range(i + 1) if (i - yp, yp) not in shifted]
         order = outside + [m[1] for m in others + hands] + [m[1] for m in u_set]
-        red, piv = linalg.rref(ideal.pieces[i].rows, i + 1, col_order=order)
+        red, piv = linalg.rref(ideal.pieces[i]._echelon, i + 1, col_order=order)
         rows = {(i - p, p): row for row, p in zip(red, piv) if (i - p, p) in ambient}
         if list(rows) != others:
             raise NotInBigCell(f"degree-{i} chart is degenerate")

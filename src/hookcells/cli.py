@@ -101,7 +101,7 @@ def _poincare_str(T) -> str:
         bits = (f"{'' if c == 1 else c}q^{2 * u}" if u else str(c) for u, c in enumerate(f) if c)
         return "+".join(bits) or "1"
 
-    groups = [(f, len(list(run))) for f, run in groupby(hookcode.poincare_factors(T))]
+    groups = [(f, len(list(run))) for f, run in groupby(hookcode.poincare_factors(T)) if f != (1,)]
     return " * ".join(f"({poly_str(f)})" + (f"^{m}" if m > 1 else "") for f, m in groups) or "1"
 
 

@@ -41,8 +41,12 @@ def rref(rows, ncols, col_order=None):
     return _rref_primitive([integer_model(r) for r in rows], ncols, col_order)
 
 
-def _rref_primitive(m, ncols, col_order=None):
-    """:func:`rref` of a new list ``m`` of primitive integer rows, reordered and overwritten in place."""
+def _rref_primitive(m, ncols, col_order=None, reduced=True):
+    """:func:`rref` of a new list ``m`` of primitive integer rows, reordered and overwritten in place.
+
+    With ``reduced`` false each pivot row clears only the rows below it: the
+    result is an echelon basis of the same span, each row zero at every
+    column that comes before its pivot in ``col_order``."""
     if col_order is None:
         col_order = range(ncols)
     pivots = []
@@ -58,7 +62,7 @@ def _rref_primitive(m, ncols, col_order=None):
         if prow[c] < 0:
             prow = [-x for x in prow]
         m[src], m[r] = m[r], prow
-        for i in range(nrows):
+        for i in range(0 if reduced else r + 1, nrows):
             if m[i][c] and i != r:
                 m[i] = _clear(m[i], prow, c)
         pivots.append(c)
@@ -69,8 +73,7 @@ def _rref_primitive(m, ncols, col_order=None):
 def _clear(row, prow, c):
     """The primitive multiple of ``prow[c] * row - row[c] * prow``: integer
     ``row`` cleared at column ``c`` by the pivot row ``prow``, both nonzero
-    there: the step of :func:`rref`, ``FormSpace._of_triangular_rows`` and
-    ``binforms._forward_orders``."""
+    there: the step of :func:`rref` and ``binforms._forward_orders``."""
     g = math.gcd(prow[c], row[c])
     s, t = prow[c] // g, row[c] // g
     out = [s * x - t * y for x, y in zip(row, prow)]

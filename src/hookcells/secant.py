@@ -155,11 +155,13 @@ class AmbientClass(Combination):
 
 
 def class_gt(mu: int, j: int) -> AmbientClass:
-    """Class of the bundle variety in P^mu x P^j: (zeta + eta)^(j+1-mu)."""
+    """Class of the bundle variety in P^mu x P^j: (zeta + eta)^(j+1-mu),
+    of which only the terms zeta^i eta^(n-i) with i <= mu are formed, since
+    zeta^(mu+1) = 0; eta^(n-i) never passes eta^j."""
     if mu < 1 or j < mu:
         raise OutOfRange(f"need 1 <= mu <= j, got ({mu}, {j})")
     n = j + 1 - mu
-    return AmbientClass.make(mu, j, {(i, n - i): comb(n, i) for i in range(n + 1)})
+    return AmbientClass.make(mu, j, {(i, n - i): comb(n, i) for i in range(min(mu, n) + 1)})
 
 
 def iota_pullback(x: AmbientClass) -> BundleClass:

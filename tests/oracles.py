@@ -10,7 +10,8 @@ search for the smallest ideal monomial after every subtraction, ideal pieces
 spanned by every monomial multiple of the generators, a Littlewood-Richardson
 product that counts the tableaux of every shape in the box, products,
 pushforwards and pullbacks of cell classes summed in dicts, with every
-binomial spread taken over its whole range, every partition of n by
+binomial spread taken over its whole range, the class of the bundle variety
+with every binomial term formed, every partition of n by
 recursion on the largest part, the hook code read off the hooks of a shape,
 the boxes of T and the box check of a code, both read off ``T.value``, a
 depth-first search for the shapes of given diagonal lengths, the dense
@@ -26,7 +27,9 @@ each cell) by a route of their own.
 
 A multi-modular determinant of integer polynomial matrices, by elimination
 modulo 62-bit primes, interpolation and Chinese remaindering, checks
-``unipoly.det`` on matrices too large for the Laplace expansion.
+``unipoly.det`` on matrices too large for the Laplace expansion, and on the
+Taylor matrix of the given rows with nothing divided out, the Wronskian's
+integer polynomial.
 
 Two cross-checks that the library leaves to the tests live here too: the
 Wronskian dehomogenized at x = 1 as well as at y = 1, and the
@@ -275,6 +278,17 @@ def wronskian(space, at="y"):
     w = laplace_det(rows)
     terms = {(m, n_deg - m) if at == "y" else (n_deg - m, m): c for m, c in enumerate(w) if c != 0}
     return from_monomials(n_deg, terms).normalized()
+
+
+def taylor_wronskian(space):
+    """``(d * codim, w)``, the Wronskian's integer polynomial at y = 1 with
+    nothing divided out: the determinant of the Taylor coefficients
+    C(s, k) c_s x^(s-k) of the given rows, by ``det_multimodular``, with
+    every zero at x = 0 inside it."""
+    d = space.dim
+    polys = [_trim(row[::-1]) for row in space._given]
+    matrix = [[[math.comb(s, k) * q[s] for s in range(k, len(q))] or [0] for q in polys] for k in range(d)]
+    return d * space.codim, tuple(det_multimodular(matrix))
 
 
 def from_monomials(degree, terms):
@@ -583,6 +597,13 @@ def t_multiply(x, y):
                 key = (a + ce, b + e)
                 part[key] = part.get(key, 0) + c1 * c2
     return _restrict(mu, j, kept, spread)
+
+
+def class_gt(mu, j):
+    """(zeta + eta)^(j+1-mu) with every binomial term formed, the ones past
+    zeta^mu dropped by ``make``."""
+    n = j + 1 - mu
+    return AmbientClass.make(mu, j, {(i, n - i): math.comb(n, i) for i in range(n + 1)})
 
 
 def iota_pullback(x):

@@ -27,6 +27,18 @@ def test_betti(capsys):
     assert out.strip() == "(1+q^2+q^4)^2 ; b(T)=9"
 
 
+def test_betti_leaves_out_unit_factors(capsys):
+    """A degree whose small Grassmannian is a point contributes the factor
+    1, which the table leaves out; the JSON keeps every factor."""
+    T = "1,2,3,4,5,6," + ",".join(["6"] * 15)
+    code, out, _ = run(capsys, "betti", "--T", T)
+    assert code == 0 and out.strip() == "(1+q^2+q^4+q^6+q^8+q^10+q^12) ; b(T)=7"
+    code, out, _ = run(capsys, "betti", "--T", T, "--format", "json")
+    assert code == 0 and json.loads(out)["factors"] == [[1]] * 14 + [[1, 1, 1, 1, 1, 1, 1]]
+    code, out, _ = run(capsys, "betti", "--T", "1,2,3")
+    assert code == 0 and out.strip() == "1 ; b(T)=1"
+
+
 def test_example_count(capsys):
     code, out, _ = run(capsys, "example-7-4")
     assert code == 0

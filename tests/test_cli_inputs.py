@@ -399,6 +399,40 @@ def test_qram_fuzz(tmp_path_factory, payload, point, fmt):
     run_on_payload(tmp_path_factory, ["qram", "--space"], payload, fmt, ["--point", point])
 
 
+@st.composite
+def hankel_payloads(draw):
+    """A ``hankel rank`` payload: up to 12 coefficients, half the time all
+    exact (small, huge, decimal and fraction strings), else of every JSON
+    kind, nested lists among them; ``scaled`` left out, a boolean or any
+    JSON; a top-level key at times left out or of any JSON; or any JSON at
+    all."""
+    exact = st.one_of(st.integers(-9, 9), st.sampled_from([10**4000, -(10**2500), "0.25", "-3/4", "1/999983"]))
+    coeff = exact if draw(st.booleans()) else st.one_of(VALUES, st.lists(VALUES, max_size=3))
+    payload = {"coeffs": draw(st.lists(coeff, min_size=draw(st.integers(0, 8)), max_size=12))}
+    if draw(st.booleans()):
+        payload["scaled"] = draw(st.one_of(st.booleans(), ANY_JSON))
+    if draw(RARELY):
+        key = draw(st.sampled_from(["coeffs", "scaled"]))
+        payload = draw(st.one_of(
+            st.just({k: v for k, v in payload.items() if k != key}), st.builds(lambda v: {**payload, key: v}, ANY_JSON),
+        ))
+    return draw(ANY_JSON) if draw(st.integers(0, 9)) == 0 else payload
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(payload=hankel_payloads(), mu=st.one_of(st.integers(0, 4).map(str), st.sampled_from(["10000000000", "-1", "x"])),
+       fmt=st.sampled_from(["table", "json"]))
+@example(payload={"coeffs": [10**4000, 1, -(10**4000), 3, 2, 10**4000, 5, 0, 1]}, mu="4", fmt="json")
+@example(payload={"coeffs": ["0.5", "1/3", "-2", 7], "scaled": False}, mu="1", fmt="table")
+@example(payload={"coeffs": [1.5, 2, 3]}, mu="1", fmt="table")
+@example(payload={"coeffs": [[1, 2], 3, 4]}, mu="1", fmt="json")
+@example(payload={"coeffs": "1234"}, mu="1", fmt="json")
+@example(payload={"coeffs": [], "scaled": False}, mu="0", fmt="table")
+@example(payload=[1, 2, 3], mu="1", fmt="table")
+def test_hankel_rank_fuzz(tmp_path_factory, payload, mu, fmt):
+    run_on_payload(tmp_path_factory, ["hankel", "rank", "--coeffs"], payload, fmt, ["--mu", mu])
+
+
 # integers at the edges of a flag's range, and small ones twice as often;
 # one flag value in ten is not an integer (or a pair of them) at all
 EDGES = st.one_of(st.sampled_from([0, 10**6, 10**20, -1, -(10**20)]), st.integers(0, 12), st.integers(0, 12))

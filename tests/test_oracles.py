@@ -1,7 +1,9 @@
 """Differential tests: fraction-free row reduction, both integer
-determinant paths, the integer Wronskian, the filtered rational root
-search and its mod-p no-root certificate, the Horner frame change, the
-vanishing orders read off the given rows, membership by pivot reduction,
+determinant paths, the integer Wronskian, with the known power of x
+divided out, the filtered rational root search and its mod-p no-root
+certificate, the Horner frame change, the vanishing orders read off the
+given rows, the echelon storage of a space with its reduced rows formed on
+demand, membership by pivot reduction on the echelon rows,
 the one-pass generator rows, the stored Wronskian, the triangular ideal
 pieces, the one-scan pair sets and the one-pass initial shape against the
 slow paths in ``oracles``, ``linalg.in_rowspace`` and
@@ -748,3 +750,158 @@ def test_tangent_space_at_every_fixed_point():
             assert 0 not in weights
             assert len(weights) == t_invariants(E.hilbert_function).dim_gt
             assert sum(w > 0 for w in weights) == dims(E).dim_v
+
+
+@st.composite
+def ordered_spaces(draw, max_d=5, min_d=1):
+    """A space whose given rows have x-adic orders drawn distinct, repeated
+    or all 0: row i is x^(o_i) times a form of degree j - o_i with nonzero
+    coefficients at x^(j - o_i) and y^(j - o_i), so its last nonzero entry
+    sits in column j - o_i."""
+    d, j = dim_and_degree(draw, min_d, max_d, None)
+    kind = draw(st.sampled_from(["distinct", "repeated", "zero"]))
+    if kind == "distinct":
+        orders = draw(st.lists(st.integers(0, j), min_size=d, max_size=d, unique=True))
+    elif kind == "repeated":
+        pool = draw(st.lists(st.integers(0, j + 1 - d), min_size=1, max_size=max(1, d - 1), unique=True))
+        orders = draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d))
+    else:
+        orders = [0] * d
+    ints = st.integers(-9, 9)
+    rows = []
+    for o in orders:
+        body = draw(st.lists(ints, min_size=j - o, max_size=j - o))
+        lead = [draw(ints.filter(bool))] if o < j else []
+        rows.append(lead + body[1:] + [draw(ints.filter(bool))] + [0] * o)
+    try:
+        return FormSpace(j, rows)
+    except DegenerateBasis:
+        assume(False)
+
+
+def check_shifted_wronskian(V, monkeypatch):
+    """The stored Wronskian polynomial equals the Taylor-row determinant,
+    and the degree bound handed to ``unipoly.det`` is d * codim lowered by
+    the known x-power, when that is positive."""
+    degrees = []
+    det = unipoly.det
+    monkeypatch.setattr(unipoly, "det", lambda m, degree, height: degrees.append(degree) or det(m, degree, height))
+    d, j = V.dim, V.degree
+    shift = max(0, sum(j - max(k for k, c in enumerate(row) if c) for row in V._given) - comb(d, 2))
+    got = binforms._wronskian_poly(V)
+    assert got == oracles.taylor_wronskian(V)
+    assert degrees == [d * V.codim - shift]
+
+
+@SETTINGS
+@given(ordered_spaces())
+def test_shifted_wronskian_matches_the_taylor_rows(V):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_shifted_wronskian(V, monkeypatch)
+
+
+# d = 8..9, above unipoly.KRONECKER_MAX: _det_interpolated takes the lowered degree
+@settings(SETTINGS, max_examples=8)
+@given(ordered_spaces(9, min_d=unipoly.KRONECKER_MAX + 1))
+def test_large_shifted_wronskian_matches_the_taylor_rows(V):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_shifted_wronskian(V, monkeypatch)
+
+
+def primitive(row):
+    """The primitive integer multiple of a Fraction row, sign kept."""
+    den = lcm(*[c.denominator for c in row])
+    ints = [int(c * den) for c in row]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+@st.composite
+def spaces_by_route(draw):
+    """``(V, rows)``: a space and rows spanning it, built by the
+    constructor, by the triangular constructor or by ``span`` from rows
+    with dependent ones among them."""
+    route = draw(st.sampled_from(["constructor", "triangular", "span"]))
+    if route == "triangular":
+        j, rows = draw(triangular_rows())
+        return FormSpace._of_triangular_rows(j, rows), rows
+    j = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(entries, min_size=j + 1, max_size=j + 1), max_size=j + 1))
+    if route == "span":
+        for _ in range(draw(st.integers(0, 2))):
+            combo = draw(st.lists(small, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((a * r[k] for a, r in zip(combo, rows)), F(0)) for k in range(j + 1)])
+        return FormSpace.span(j, rows), rows
+    try:
+        return FormSpace(j, rows), rows
+    except DegenerateBasis:
+        assume(False)
+
+
+def assert_echelon(V):
+    """Each stored row ends at its pivot with a positive entry, the pivots
+    decreasing."""
+    assert list(V.pivots) == sorted(set(V.pivots), reverse=True) and len(V._echelon) == len(V.pivots)
+    for row, p in zip(V._echelon, V.pivots):
+        assert row[p] > 0 and not any(row[p + 1:])
+
+
+@SETTINGS
+@given(spaces_by_route())
+def test_reduced_rows_are_formed_on_demand(case):
+    """The stored rows are an echelon basis; ``rows`` and ``basis`` are
+    formed on first read, and equal the reduced rows of the Fraction
+    oracle."""
+    V, rows = case
+    j = V.degree
+    assert V._reduced is None
+    assert_echelon(V)
+    assert all(oracles.in_rowspace(row, rows, j + 1) for row in V._echelon)
+    red, piv = oracles.rref(rows, j + 1, col_order=range(j, -1, -1))
+    assert V.dim == len(red) and V._reduced is None
+    assert V.rows == tuple(map(primitive, red)) and V.pivots == tuple(piv)
+    assert V._reduced is V.rows
+    assert V.basis == tuple(BinaryForm(j, r) for r in red)
+
+
+@SETTINGS
+@given(spaces_by_route(), st.data())
+def test_equality_before_and_after_the_reduced_rows(case, data):
+    """``==`` and ``hash`` compare the degree, the canonical reduced rows
+    and the pivots: copies and pickles taken before and after the rows are
+    formed, and the space built again from another basis, are equal and
+    hash equally; a smaller space is not equal."""
+    V, _ = case
+    j, d = V.degree, V.dim
+    mix = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(d == 0 or oracles.laplace_det([[[c] for c in r] for r in mix]) != [0])
+    W = FormSpace(j, [[sum(a * r[k] for a, r in zip(m, V._given)) for k in range(j + 1)] for m in mix])
+    before = [copy.copy(V), copy.deepcopy(V), pickle.loads(pickle.dumps(V))]
+    assert all(other._reduced is None for other in before)
+    assert V == W and hash(V) == hash(W) == hash((j, V.rows, V.pivots))
+    after = [copy.copy(V), copy.deepcopy(V), pickle.loads(pickle.dumps(V))]
+    assert all(other._reduced == V.rows for other in after)
+    for other in before + after:
+        assert other == V and hash(other) == hash(V) and other.rows == V.rows and repr(other) == repr(V)
+        assert other.to_json() == V.to_json()
+    if d:
+        smaller = FormSpace(j, V._given[1:])
+        assert smaller != V and V != smaller
+    assert V != V.to_json() and V != FormSpace(j + 1, ())
+
+
+@SETTINGS
+@given(spaces_by_route(), st.data())
+def test_membership_on_the_echelon_rows(case, data):
+    """``_holds`` on the stored, unreduced echelon rows answers as the
+    Fraction rank oracle, on combinations of the rows and on random rows."""
+    V, rows = case
+    j = V.degree
+    if rows and data.draw(st.booleans()):
+        combo = data.draw(st.lists(small, min_size=len(rows), max_size=len(rows)))
+        v = [sum((a * r[k] for a, r in zip(combo, rows)), F(0)) for k in range(j + 1)]
+    else:
+        v = data.draw(st.lists(entries, min_size=j + 1, max_size=j + 1))
+    w = list(primitive(v)) if any(v) else [0] * (j + 1)
+    assert V._holds(w) == oracles.in_rowspace(v, rows, j + 1)
+    assert V._reduced is None

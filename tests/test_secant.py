@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from math import comb
 
@@ -80,6 +81,19 @@ def test_class_gt_examples():
     assert class_gt(3, 3).as_dict() == {(0, 1): 1, (1, 0): 1}
     gt = class_gt(3, 6).as_dict()
     assert gt == {(i, 4 - i): comb(4, i) for i in range(4)}  # zeta^4 truncated away
+
+
+def test_class_gt_forms_only_the_surviving_terms():
+    """The class equals the full binomial expansion truncated by ``make``,
+    and stays cheap at j = 10000, where the full expansion forms 10001
+    binomials of up to 10000 bits."""
+    for mu in range(1, 8):
+        for j in range(mu, 16):
+            assert class_gt(mu, j) == oracles.class_gt(mu, j), (mu, j)
+    start = time.perf_counter()
+    assert class_gt(1, 10000).as_dict() == {(0, 10000): 1, (1, 9999): 10000}
+    assert iota_pushforward(BundleClass.basis(1, 10000, 0, 0)).as_dict() == {(0, 10000): 1, (1, 9999): 10000}
+    assert time.perf_counter() - start < 0.1
 
 
 def test_iota_pullback_examples():
