@@ -182,13 +182,15 @@ class FormSpace:
         """The space spanned by ``rows``, a list of primitive integer rows
         of length ``degree + 1`` whose initial monomials (last nonzero
         entries) fall in strictly increasing columns: the constructor
-        without reading the rows or searching for pivots.  The rows are an
-        echelon basis already and are stored as they are, each with a
-        positive entry at its pivot.  Rows out of that order, a zero row
-        included, are a :class:`DegenerateBasis`."""
+        without elimination, each pivot read by walking back from the end
+        of its row.  The rows are an echelon basis already and are stored
+        as they are, each with a positive entry at its pivot.  Rows out of
+        that order, a zero row included, are a :class:`DegenerateBasis`."""
         ech, piv = [], []
         for row in rows:
-            p = max((k for k, c in enumerate(row) if c), default=-1)
+            p = len(row) - 1
+            while p >= 0 and not row[p]:
+                p -= 1
             if p <= (piv[-1] if piv else -1):
                 raise DegenerateBasis(f"rows of degree {degree} do not have increasing initial monomials")
             ech.append([-x for x in row] if row[p] < 0 else row)

@@ -162,7 +162,7 @@ class CellParams:
             missing = sorted(pairs - values.keys(), key=repr)
             raise InconsistentParams(f"values must match S(E): unexpected {unexpected}, missing {missing}")
         values = {
-            (mu, nu): _rational(
+            (mu, nu): v if type(v) is Fraction else _rational(
                 v, f"value of pair ({mono_str(mu)}, {mono_str(nu)})", InconsistentParams
             )
             for (mu, nu), v in values.items()
@@ -201,13 +201,17 @@ class GradedIdeal:
 
     Stores the degreewise pieces (authoritative for rank queries) together
     with the standard-form generators it was built from, when known.
+    :func:`build_ideal` hands them over as ``_rows``, primitive integer
+    rows each ending at its leading entry, and the first read of
+    ``generators`` divides each row by that entry and keeps the forms.
     """
 
     hilbert_function: HilbertFunction
     pieces: dict
-    generators: tuple[BinaryForm, ...]
+    _rows: tuple | None
+    _generators: tuple[BinaryForm, ...] | None
 
-    def __init__(self, hilbert_function: HilbertFunction, pieces: dict, generators=()):
+    def __init__(self, hilbert_function: HilbertFunction, pieces: dict, generators=(), *, _rows=None):
         T = as_hilbert(hilbert_function)
         for i in range(T.mu, T.j + 1):
             if i not in pieces:
@@ -225,7 +229,19 @@ class GradedIdeal:
                     raise NotAnIdeal(f"degree-{i} piece is not closed under multiplication")
         object.__setattr__(self, "hilbert_function", T)
         object.__setattr__(self, "pieces", dict(pieces))
-        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "_rows", _rows)
+        object.__setattr__(self, "_generators", None if _rows is not None else tuple(generators))
+
+    @property
+    def generators(self) -> tuple[BinaryForm, ...]:
+        if self._generators is None:
+            zero = Fraction(0)
+            forms = []
+            for row in self._rows:
+                lead = next(u for u in reversed(row) if u)
+                forms.append(BinaryForm(len(row) - 1, [Fraction(u, lead) if u else zero for u in row]))
+            object.__setattr__(self, "_generators", tuple(forms))
+        return self._generators
 
     def piece(self, i: int) -> FormSpace:
         T = self.hilbert_function
@@ -264,7 +280,8 @@ def build_ideal(params: CellParams) -> GradedIdeal:
     along with it.  The remainder is supported on x-shifts of cobasis
     monomials, and cancelling it forces the remaining tail coefficients.
     Each generator is kept as its primitive integer row, with a positive
-    leading entry, and divided by that entry once for the returned forms.
+    leading entry, and handed to the ideal as it is: only a read of
+    ``generators`` divides it by that entry.
     Each degreewise piece then takes one generator multiple per ideal
     monomial of its degree, the multiple whose initial monomial it is, a
     primitive integer row: x^(d-y) y^y is one when y >= q(k) for its column
@@ -314,12 +331,7 @@ def build_ideal(params: CellParams) -> GradedIdeal:
         ks = [(yp, min(d - yp, p0)) for yp in range(d + 1)]
         rows = [[0] * (yp - q[k]) + gens[k] + [0] * (d - yp - k) for yp, k in ks if yp >= q[k]]
         pieces[d] = FormSpace._of_triangular_rows(d, rows)
-    zero = Fraction(0)
-    ordered = tuple(
-        BinaryForm(c + q[c], [Fraction(u, gens[c][q[c]]) if u else zero for u in gens[c]])
-        for c in range(p0 + 1)
-    )
-    return GradedIdeal(T, pieces, ordered)
+    return GradedIdeal(T, pieces, _rows=tuple(gens[c] for c in range(p0 + 1)))
 
 
 def initial_ideal(ideal: GradedIdeal, p: PointP1 = POINT_X) -> MonomialIdeal:

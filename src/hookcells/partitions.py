@@ -25,9 +25,12 @@ from .errors import InvalidT, NonAdmissible, OutOfRange
 
 
 def _index(value, what: str, error=ValueError) -> int:
-    """``value`` as an integer through ``operator.index``; ``error`` naming
-    ``what`` when it is a boolean, a float or anything else without an exact
-    integer value, which ``int()`` would truncate or coerce."""
+    """``value`` as it is when its type is ``int``, otherwise as an integer
+    through ``operator.index``; ``error`` naming ``what`` when it is a
+    boolean, a float or anything else without an exact integer value, which
+    ``int()`` would truncate or coerce."""
+    if type(value) is int:
+        return value
     if not isinstance(value, bool):
         try:
             return operator.index(value)

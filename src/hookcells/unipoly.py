@@ -322,7 +322,7 @@ def _no_root_mod(ip, p):
     g(x) in slot x, below 2^bits."""
     bits, packed = _residue_powers(p)
     v = (ip[0] % p) * packed[0]
-    for r in range(1, p):
+    for r in range(1, min(p, len(ip))):  # the classes past the degree are empty
         v += (sum(ip[r::p - 1]) % p) * packed[r]
     mask = (1 << bits) - 1
     for _ in range(p):

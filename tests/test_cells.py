@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -171,6 +174,11 @@ def test_params_refuse_inexact_values():
             CellParams(E, {pair: bad})
     for good in (2, F(1, 10), "1/10", "0.1"):
         assert CellParams(E, {pair: good}).values[pair] == F(good)
+    with pytest.raises(InconsistentParams) as info:
+        CellParams(E, {pair: 0.5})
+    assert str(info.value) == "value of pair (x^0 y^2, x^1 y^1) must be an exact rational, got 0.5"
+    value = F(-3, 7)
+    assert CellParams(E, {pair: value}).values[pair] is value
 
 
 def test_initial_ideal_examples():
@@ -275,6 +283,35 @@ def test_roundtrip_random_params():
                 I = build_ideal(random_params(rng, E))
                 assert initial_ideal(I) == E
                 assert I.hilbert_function == T
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_graded_ideal_copies_before_and_after_the_generators_are_read(read_first):
+    assert "generators" not in {f.name for f in dataclasses.fields(GradedIdeal)}  # a property
+    params = random_params(random.Random(11), ideal_of([4, 3, 1]))
+    want = build_ideal(params).generators
+    I = build_ideal(params)
+    if read_first:
+        I.generators
+    for J in (copy.copy(I), copy.deepcopy(I), pickle.loads(pickle.dumps(I))):
+        assert (J._generators is None) == (not read_first)
+        assert J.hilbert_function == I.hilbert_function and J.pieces == I.pieces
+        assert J.generators == want
+    given = GradedIdeal(I.hilbert_function, I.pieces, want)
+    assert given.generators == want
+    assert pickle.loads(pickle.dumps(given)).generators == want
+
+
+def test_round_trip_and_generators_leave_the_reduced_rows_unformed():
+    # build-ideal reads the generators and the initial ideal, never the
+    # reduced rows of the pieces
+    rng = random.Random(5)
+    for parts in ([1] * 12, [6, 4, 3, 1, 1], [7, 6, 5, 4, 3, 2, 1]):
+        E = ideal_of(parts)
+        I = build_ideal(random_params(rng, E))
+        assert initial_ideal(I) == E
+        I.generators
+        assert all(piece._reduced is None for piece in I.pieces.values())
 
 
 def test_small_grass_coords_origin():

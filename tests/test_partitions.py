@@ -1,3 +1,5 @@
+from enum import IntEnum
+from fractions import Fraction
 from itertools import accumulate, takewhile
 
 import pytest
@@ -15,7 +17,7 @@ from hookcells import (
     t_invariants,
 )
 from hookcells.errors import InvalidT
-from hookcells.partitions import _conjugate
+from hookcells.partitions import _conjugate, _index
 import oracles
 
 partitions = st.lists(st.integers(1, 9), max_size=8).map(
@@ -124,6 +126,23 @@ def test_partition_refuses_non_integer_parts():
         Partition([2.7, 1])
     with pytest.raises(ValueError, match="True"):
         Partition([True, True])
+
+
+class Two(IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("value, want", [(5, 5), (-3, -3), (Two.TWO, 2)])
+def test_index_reads_integers(value, want):
+    got = _index(value, "part")
+    assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize("value, shown", [(True, "True"), (1.0, "1.0"), (Fraction(2), "Fraction(2, 1)"), ("3", "'3'")])
+def test_index_refuses_other_values(value, shown):
+    with pytest.raises(InvalidT) as info:
+        _index(value, "part", InvalidT)
+    assert str(info.value) == f"part must be an integer, got {shown}"
 
 
 def test_hilbert_function_refuses_non_integer_values():
