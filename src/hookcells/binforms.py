@@ -272,7 +272,7 @@ class FormSpace:
     def _holds(self, v) -> bool:
         """:meth:`contains` for an integer coefficient row of the right
         length, taken as it is."""
-        # not linalg._clear: only zero matters here, and dividing out the content costs cell-roundtrip ~6%
+        # not linalg._clear: only zero matters here, so dividing out the content would be wasted work
         for row, p in zip(self._echelon, self.pivots):
             c = v[p]
             if c:

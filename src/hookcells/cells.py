@@ -223,10 +223,13 @@ class GradedIdeal:
                 raise NotAnIdeal(f"degree-{i} piece has dimension {pieces[i].dim}, expected {dim}")
         for i in range(T.mu, T.j):
             nxt = pieces[i + 1]
+            stored = set(nxt._echelon)
             for row in pieces[i]._echelon:
-                # (*row, 0) is x * f and (0, *row) is y * f, integer rows
-                if not (nxt._holds((*row, 0)) and nxt._holds((0, *row))):
-                    raise NotAnIdeal(f"degree-{i} piece is not closed under multiplication")
+                # (*row, 0) is x * f and (0, *row) is y * f, integer rows; one
+                # equal to a stored row of the next piece is a member unreduced
+                for v in ((*row, 0), (0, *row)):
+                    if v not in stored and not nxt._holds(v):
+                        raise NotAnIdeal(f"degree-{i} piece is not closed under multiplication")
         object.__setattr__(self, "hilbert_function", T)
         object.__setattr__(self, "pieces", dict(pieces))
         object.__setattr__(self, "_rows", _rows)

@@ -7,7 +7,8 @@ rational root search that evaluates every rational-root-theorem candidate
 with Fraction arithmetic, a frame change that expands every monomial
 binomially, standard generators built on monomial dicts and reduced by a
 search for the smallest ideal monomial after every subtraction, ideal pieces
-spanned by every monomial multiple of the generators, a Littlewood-Richardson
+spanned by every monomial multiple of the generators, the closure of the
+pieces under x and y with every shift reduced, a Littlewood-Richardson
 product that counts the tableaux of every shape in the box, products,
 pushforwards and pullbacks of cell classes summed in dicts, with every
 binomial spread taken over its whole range, the class of the bundle variety
@@ -23,7 +24,9 @@ they check.
 The torus weights of the tangent space Hom_R(E, R/E)_0 at a monomial ideal
 E, by linear algebra on the syzygies of adjacent generators, check
 ``t_invariants`` (the dimension of G_T) and ``cells.dims`` (the dimension of
-each cell) by a route of their own.
+each cell) by a route of their own.  Summed by Atiyah-Bott localization over
+the fixed points, they give the integrals of the ambient classes
+zeta^u eta^v over the pencil-bundle varieties, which check ``iota_pullback``.
 
 A multi-modular determinant of integer polynomial matrices, by elimination
 modulo 62-bit primes, interpolation and Chinese remaindering, checks
@@ -442,6 +445,21 @@ def ideal_pieces(generators, T):
     return pieces
 
 
+def unclosed_degree(pieces, T):
+    """The first degree i in T.mu..T.j - 1 where x or y times a stored
+    echelon row of the degree-i piece is not in the degree-(i + 1) piece,
+    or None: every shift reduced by ``FormSpace._holds``, as the closure
+    check of ``GradedIdeal`` did before it took a shift that equals a
+    stored row of the next piece as a member unreduced.  It checks that
+    row identity, and shares the reduction with the check."""
+    for i in range(T.mu, T.j):
+        nxt = pieces[i + 1]
+        for row in pieces[i]._echelon:
+            if not (nxt._holds((*row, 0)) and nxt._holds((0, *row))):
+                return i
+    return None
+
+
 def _shift(term, dm):
     return {(m[0] + dm[0], m[1] + dm[1]): c for m, c in term.items()}
 
@@ -820,3 +838,38 @@ def tangent_weights(E) -> list[int]:
         rows = [[row.get(k, 0) for k in range(len(column))] for row in equations.get(w, ())]
         weights += [w] * (len(column) - len(rref(rows, len(column))[0]))
     return sorted(weights)
+
+
+@lru_cache(maxsize=None)
+def _fixed_points(mu, j):
+    """For each monomial ideal E with Hilbert function (1, 2, ..., mu, mu,
+    ..., mu, 1) of socle degree j: its one monomial of degree mu, its one
+    cobasis monomial of degree j and its tangent weights."""
+    T = (*range(1, mu + 1), *[mu] * (j - mu), 1)
+    out = []
+    for p in enumerate_with_diagonal_lengths(T):
+        E = MonomialIdeal(p)
+        (low,) = E.piece(mu)
+        (top,) = (m for m in ((j - y, y) for y in range(j + 1)) if not E.contains(m))
+        out.append((low, top, tuple(tangent_weights(E))))
+    return tuple(out)
+
+
+def localized_integral(mu, j, u, v, weights):
+    """The integral of zeta^u eta^v over the variety of graded ideals with
+    Hilbert function (1, 2, ..., mu, mu, ..., mu, 1) of socle degree j, by
+    Atiyah-Bott localization: the sum over its torus-fixed points, the
+    monomial ideals E, of zeta_E^u eta_E^v / e(T_E).
+
+    The torus scales x and y with the weights (w1, w2), so the monomial
+    x^a y^b has weight a w1 + b w2.  zeta_E is minus the weight of the one
+    monomial of E in degree mu, eta_E the weight of the one cobasis monomial
+    in degree j, and e(T_E) the product of the tangent weights, each weight
+    w of ``tangent_weights`` being w (w1 - w2).  Only u + v = 2 mu - 1, the
+    dimension, gives a number."""
+    w1, w2 = weights
+    total = Fraction(0)
+    for (a, b), (c, d), tangent in _fixed_points(mu, j):
+        euler = math.prod(w * (w1 - w2) for w in tangent)
+        total += Fraction(-(a * w1 + b * w2)) ** u * (c * w1 + d * w2) ** v / euler
+    return total

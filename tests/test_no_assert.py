@@ -34,6 +34,11 @@ checks = [
         2: FormSpace(2, [[1, 0, 0]]),
         3: FormSpace(3, [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]),
     }),
+    # y * x y = x y^2 is missing, though the stored row x^3 + x y^2 ends where it does
+    lambda: GradedIdeal(HilbertFunction([1, 2, 2, 1]), {
+        2: FormSpace(2, [[0, 1, 0]]),
+        3: FormSpace(3, [[0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]),
+    }),
     lambda: CellParams(MonomialIdeal(Partition([2, 2])), {((0, 2), (1, 1)): 0.1}),
     # a degree-2 space where the degree-3 piece belongs
     lambda: GradedIdeal(HilbertFunction([1, 2, 2, 1]), {
@@ -70,5 +75,6 @@ def test_checks_run_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "1", "NotAnIdeal", "InconsistentParams", "NotAnIdeal", "DegenerateBasis", "OutOfRange", "InternalError",
+        "1", "NotAnIdeal", "NotAnIdeal", "InconsistentParams", "NotAnIdeal", "DegenerateBasis", "OutOfRange",
+        "InternalError",
     ]

@@ -5,11 +5,12 @@ certificate, the Horner frame change, the vanishing orders read off the
 given rows, the echelon storage of a space with its reduced rows formed on
 demand, membership by pivot reduction on the echelon rows,
 the one-pass generator rows, the stored Wronskian, the triangular ideal
-pieces, the one-scan pair sets and the one-pass initial shape against the
-slow paths in ``oracles``, ``linalg.in_rowspace`` and
-``change_basis``; the Hilbert function a monomial ideal derives from its
-shape; and the tangent spaces at the torus-fixed points against
-``t_invariants`` and ``cells.dims``."""
+pieces, the closure check by row identity, the one-scan pair sets and the
+one-pass initial shape against the slow paths in ``oracles``,
+``linalg.in_rowspace`` and ``change_basis``; the Hilbert function a
+monomial ideal derives from its shape; the tangent spaces at the
+torus-fixed points against ``t_invariants`` and ``cells.dims``; and the
+ring of the pencil-bundle varieties against Atiyah-Bott localization."""
 
 import copy
 import math
@@ -23,9 +24,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
 from hookcells import (
+    AmbientClass,
     BinaryForm,
     CellParams,
     FormSpace,
+    GradedIdeal,
     MonomialIdeal,
     Partition,
     POINT_X,
@@ -36,6 +39,7 @@ from hookcells import (
     diagonal_lengths,
     dims,
     initial_ideal,
+    iota_pullback,
     pair_set_S,
     point_valuation,
     ram_data,
@@ -44,7 +48,7 @@ from hookcells import (
     wronskian,
 )
 from hookcells import binforms, linalg, unipoly
-from hookcells.errors import DegenerateBasis, ZeroForm
+from hookcells.errors import DegenerateBasis, NotAnIdeal, ZeroForm
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -703,6 +707,60 @@ def test_build_ideal_pieces_match_overcomplete_span(params):
     assert initial_ideal(ideal) == params.ideal
 
 
+@st.composite
+def closure_cases(draw):
+    """``(kind, T, pieces)`` from a built ideal: its pieces as they are
+    ("built"); each piece rebuilt from its rows after random row additions,
+    so that its stored rows are seldom the shifts of the rows one degree
+    below and the reduction runs ("mixed"); or one stored row that is such
+    a shift replaced by the shift plus a multiple of the unit row of a
+    non-pivot column before its end ("forged"): a row still ends where the
+    shift does, but the shift has left the span."""
+    ideal = build_ideal(draw(cell_params(max_n=10)))
+    T, pieces = ideal.hilbert_function, dict(ideal.pieces)
+    kind = draw(st.sampled_from(["built", "mixed", "forged"]))
+    if kind == "mixed":
+        for d, piece in pieces.items():
+            rows = [list(row) for row in piece._echelon]
+            n = len(rows)
+            steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), small)
+            for r, c, a in draw(st.lists(steps, max_size=2 * n)):
+                if r != c:
+                    rows[r] = [x + a * y for x, y in zip(rows[r], rows[c])]
+            pieces[d] = FormSpace(d, rows)
+    elif kind == "forged":
+        spots = []
+        for i in range(T.mu, T.j):
+            nxt = pieces[i + 1]
+            stored = dict(zip(nxt.pivots, nxt._echelon))
+            for row, p in zip(pieces[i]._echelon, pieces[i].pivots):
+                for v, end in (((*row, 0), p), ((0, *row), p + 1)):
+                    free = [m for m in range(end) if m not in stored]
+                    if stored.get(end) == v and free:
+                        spots.append((i + 1, v, free))
+        assume(spots)
+        d, v, free = draw(st.sampled_from(spots))
+        m, c = draw(st.sampled_from(free)), draw(st.integers(-3, 3).filter(bool))
+        forged = [x + c * (k == m) for k, x in enumerate(v)]
+        pieces[d] = FormSpace(d, [forged if row == v else row for row in pieces[d]._echelon])
+    return kind, T, pieces
+
+
+@settings(SETTINGS, max_examples=100)
+@given(closure_cases())
+def test_closure_check_matches_the_all_reducing_oracle(case):
+    """``GradedIdeal`` accepts exactly the pieces whose shifts all reduce to
+    zero, and otherwise names the first degree where one does not."""
+    kind, T, pieces = case
+    bad = oracles.unclosed_degree(pieces, T)
+    assert (bad is None) == (kind != "forged")
+    if bad is None:
+        GradedIdeal(T, pieces)
+    else:
+        with pytest.raises(NotAnIdeal, match=f"^degree-{bad} piece is not closed under multiplication$"):
+            GradedIdeal(T, pieces)
+
+
 @SETTINGS
 @given(shapes(0, 40))
 def test_pair_set_matches_the_hooks(parts):
@@ -754,6 +812,23 @@ def test_tangent_space_at_every_fixed_point():
             assert 0 not in weights
             assert len(weights) == t_invariants(E.hilbert_function).dim_gt
             assert sum(w > 0 for w in weights) == dims(E).dim_v
+
+
+def test_pencil_bundle_ring_matches_atiyah_bott_localization():
+    """The point coefficient of the pullback of zeta^u eta^v, u + v = 2 mu - 1,
+    is its integral over the variety of ideals of T = (1, 2, ..., mu, mu,
+    ..., mu, 1), summed over the torus-fixed points by
+    ``oracles.localized_integral`` at two torus weights: every mu <= 5 and
+    mu + 1 <= j <= mu + 6.  The terms with v > j are 0 on both sides."""
+    for mu in range(1, 6):
+        for j in range(mu + 1, mu + 7):
+            for u in range(mu + 1):
+                v = 2 * mu - 1 - u
+                want = iota_pullback(AmbientClass.make(mu, j, {(u, v): 1})).point_coefficient()
+                for weights in ((3, 7), (-2, 5)):
+                    assert oracles.localized_integral(mu, j, u, v, weights) == want, (mu, j, u, v, weights)
+    known = {(2, 4, 1, 2): 3, (3, 7, 2, 3): 5, (5, 11, 0, 9): 21}
+    assert {case: oracles.localized_integral(*case, (3, 7)) for case in known} == known
 
 
 @st.composite
