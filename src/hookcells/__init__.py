@@ -45,7 +45,6 @@ from .errors import (
     InternalError,
     InvalidT,
     MalformedE,
-    NonAdmissible,
     NotAnIdeal,
     NotFound,
     NotInBigCell,

@@ -139,10 +139,10 @@ class FormSpace:
     basis row's initial monomial is a pivot and row i has strictly larger
     x-adic valuation than row i-1.
 
-    The space stores the echelon basis its construction yields: primitive
-    integer rows, each ending at its pivot with a positive entry, the pivots
-    decreasing, no row cleared above its pivot.  Membership, the closure
-    check of an ideal and the frame change read them as they are.
+    The space stores the echelon basis that ``linalg._echelon`` or the
+    triangular constructor yields: primitive integer rows, each ending at
+    its pivot with a positive entry, the pivots decreasing.  Membership, the
+    closure check of an ideal and the frame change read them as they are.
 
     ``rows``, formed on first read and kept, is the reduced row echelon
     basis, each row its primitive integer multiple with a positive entry at
@@ -172,7 +172,7 @@ class FormSpace:
 
     def __init__(self, degree: int, forms):
         given = [linalg.integer_model(self._row(degree, f)) for f in forms]
-        ech, piv = linalg._rref_primitive(list(given), degree + 1, range(degree, -1, -1), reduced=False)
+        ech, piv = linalg._echelon(given)
         if len(ech) != len(given):
             raise DegenerateBasis(f"{len(given)} forms span only {len(ech)} dimensions")
         self._fill(degree, ech, piv, given)
@@ -182,15 +182,13 @@ class FormSpace:
         """The space spanned by ``rows``, a list of primitive integer rows
         of length ``degree + 1`` whose initial monomials (last nonzero
         entries) fall in strictly increasing columns: the constructor
-        without elimination, each pivot read by walking back from the end
-        of its row.  The rows are an echelon basis already and are stored
+        without elimination, each pivot read as the last nonzero column of
+        its row.  The rows are an echelon basis already and are stored
         as they are, each with a positive entry at its pivot.  Rows out of
         that order, a zero row included, are a :class:`DegenerateBasis`."""
         ech, piv = [], []
         for row in rows:
-            p = len(row) - 1
-            while p >= 0 and not row[p]:
-                p -= 1
+            p = linalg._last(row)
             if p <= (piv[-1] if piv else -1):
                 raise DegenerateBasis(f"rows of degree {degree} do not have increasing initial monomials")
             ech.append([-x for x in row] if row[p] < 0 else row)
@@ -239,9 +237,8 @@ class FormSpace:
     @classmethod
     def span(cls, degree: int, forms) -> "FormSpace":
         """Like the constructor but silently drops dependent forms."""
-        rows = [cls._row(degree, f) for f in forms]
-        red, piv = linalg.rref(rows, degree + 1, col_order=range(degree, -1, -1))
-        return object.__new__(cls)._fill(degree, red, piv, red)
+        ech, piv = linalg._echelon([linalg.integer_model(cls._row(degree, f)) for f in forms])
+        return object.__new__(cls)._fill(degree, ech, piv, ech)
 
     def __repr__(self):
         return f"FormSpace({self.degree}, dim={self.dim})"
@@ -365,8 +362,9 @@ def _orders(space: FormSpace, p: PointP1) -> tuple[int, ...]:
     increasing order: its degree sequence there, one order per dimension.
 
     At x = 0 they are the stored pivots.  Elsewhere the given rows are
-    written as polynomials in a parameter t of L, and inserting them by
-    their lowest power of t finds one new order per row.  At y = 0 the
+    written as polynomials in a parameter t of L, each reversed so that it
+    ends at its lowest power of t, and ``linalg._echelon`` of them finds
+    one pivot k, so one order j - k, per row.  At y = 0 the
     parameter is y itself, and coefficient k of a row is already that of
     y^k.  At L = x - (u/v) y, with u/v in lowest terms, a form F becomes
     F(u + t, v): since F = L^m H with H(u, v) != 0, its order in t is m.
@@ -384,44 +382,25 @@ def _orders(space: FormSpace, p: PointP1) -> tuple[int, ...]:
     if space.dim == j + 1:  # every order, without eliminating j + 1 rows
         return tuple(range(j + 1))
     if p == POINT_Y:
-        return _forward_orders(space._given)
-    root = -p.b
-    u, v = root.numerator, root.denominator
-    scale = max(v, abs(u) + 1) ** j
-    rows = []
-    for coeffs in space._given:
-        bits = (sum(map(abs, coeffs)) * scale).bit_length() + 1
-        x = (1 << bits) + u
-        acc, v_k = 0, 1
-        for c in coeffs:
-            acc = acc * x + c * v_k
-            v_k *= v
-        digits = unipoly.balanced_digits(acc, bits)
-        rows.append(digits + [0] * (j + 1 - len(digits)))
-    return _forward_orders(rows)
-
-
-def _forward_orders(rows) -> tuple[int, ...]:
-    """The increasing leading columns of an echelon basis of the span of the
-    independent integer ``rows``, one per row, which depend on the span
-    only: each row is cleared at its leading column by the basis row
-    already leading there, until that column is new."""
-    basis = {}
-    for row in rows:
-        k = _lead(row)
-        while k in basis:
-            row = linalg._clear(row, basis[k], k)
-            k = _lead(row)
-        basis[k] = row
-    return tuple(sorted(basis))
-
-
-def _lead(row) -> int:
-    """The first nonzero column of a row of independent rows."""
-    k = next((k for k, c in enumerate(row) if c), None)
-    if k is None:
-        raise InternalError("elimination met a zero row in an independent basis")
-    return k
+        rows = [row[::-1] for row in space._given]
+    else:
+        root = -p.b
+        u, v = root.numerator, root.denominator
+        scale = max(v, abs(u) + 1) ** j
+        rows = []
+        for coeffs in space._given:
+            bits = (sum(map(abs, coeffs)) * scale).bit_length() + 1
+            x = (1 << bits) + u
+            acc, v_k = 0, 1
+            for c in coeffs:
+                acc = acc * x + c * v_k
+                v_k *= v
+            digits = unipoly.balanced_digits(acc, bits)
+            rows.append([0] * (j + 1 - len(digits)) + digits[::-1])
+    piv = linalg._echelon(rows)[1]
+    if len(piv) != space.dim:
+        raise InternalError(f"the {space.dim} independent rows of a degree-{j} space turned dependent at {p}")
+    return tuple(j - k for k in piv)
 
 
 def initial_space(space: FormSpace, p: PointP1) -> tuple[tuple[int, int], ...]:

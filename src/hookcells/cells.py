@@ -241,19 +241,10 @@ class GradedIdeal:
             zero = Fraction(0)
             forms = []
             for row in self._rows:
-                lead = next(u for u in reversed(row) if u)
+                lead = row[linalg._last(row)]
                 forms.append(BinaryForm(len(row) - 1, [Fraction(u, lead) if u else zero for u in row]))
             object.__setattr__(self, "_generators", tuple(forms))
         return self._generators
-
-    def piece(self, i: int) -> FormSpace:
-        T = self.hilbert_function
-        if i < T.mu:
-            return FormSpace(i, ())
-        if i > T.j:
-            unit_rows = [[int(k == m) for k in range(i + 1)] for m in range(i + 1)]
-            return FormSpace._of_triangular_rows(i, unit_rows)
-        return self.pieces[i]
 
 
 def _multiple(m: Monomial, gens: dict, q) -> list:

@@ -13,10 +13,6 @@ class InvalidT(HookcellsError):
     """Sequence is not an admissible Hilbert function."""
 
 
-class NonAdmissible(HookcellsError):
-    """A diagonal profile violates the admissible Hilbert-function shape."""
-
-
 class NotFound(HookcellsError):
     """Lookup failed where a result was guaranteed; internal inconsistency."""
 

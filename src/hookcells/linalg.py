@@ -41,12 +41,8 @@ def rref(rows, ncols, col_order=None):
     return _rref_primitive([integer_model(r) for r in rows], ncols, col_order)
 
 
-def _rref_primitive(m, ncols, col_order=None, reduced=True):
-    """:func:`rref` of a new list ``m`` of primitive integer rows, reordered and overwritten in place.
-
-    With ``reduced`` false each pivot row clears only the rows below it: the
-    result is an echelon basis of the same span, each row zero at every
-    column that comes before its pivot in ``col_order``."""
+def _rref_primitive(m, ncols, col_order=None):
+    """:func:`rref` of a new list ``m`` of primitive integer rows, reordered and overwritten in place."""
     if col_order is None:
         col_order = range(ncols)
     pivots = []
@@ -62,7 +58,7 @@ def _rref_primitive(m, ncols, col_order=None, reduced=True):
         if prow[c] < 0:
             prow = [-x for x in prow]
         m[src], m[r] = m[r], prow
-        for i in range(0 if reduced else r + 1, nrows):
+        for i in range(nrows):
             if m[i][c] and i != r:
                 m[i] = _clear(m[i], prow, c)
         pivots.append(c)
@@ -70,10 +66,37 @@ def _rref_primitive(m, ncols, col_order=None, reduced=True):
     return m[:r], pivots
 
 
+def _echelon(rows):
+    """An echelon basis of the span of the integer ``rows``, built by
+    insertion: each row is cleared at its last nonzero column, against the
+    basis row already ending there, until that column is new, and a row
+    cleared to zero is dropped.  Returns ``(basis, pivots)`` by decreasing
+    pivot, each row zero past its pivot and positive there, and primitive
+    once cleared or when given so.  The pivots depend only on the span."""
+    basis = {}
+    for row in rows:
+        k = _last(row)
+        while k in basis:
+            row = _clear(row, basis[k], k)
+            k = _last(row)
+        if k >= 0:
+            basis[k] = [-x for x in row] if row[k] < 0 else row
+    pivots = sorted(basis, reverse=True)
+    return [basis[k] for k in pivots], pivots
+
+
+def _last(row):
+    """The last nonzero column of ``row``, -1 for a zero row."""
+    k = len(row) - 1
+    while k >= 0 and not row[k]:
+        k -= 1
+    return k
+
+
 def _clear(row, prow, c):
     """The primitive multiple of ``prow[c] * row - row[c] * prow``: integer
     ``row`` cleared at column ``c`` by the pivot row ``prow``, both nonzero
-    there: the step of :func:`rref` and ``binforms._forward_orders``."""
+    there: the step of :func:`rref` and :func:`_echelon`."""
     g = math.gcd(prow[c], row[c])
     s, t = prow[c] // g, row[c] // g
     out = [s * x - t * y for x, y in zip(row, prow)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidT, NonAdmissible, OutOfRange
+from .errors import InvalidT, OutOfRange
 
 
 def _index(value, what: str, error=ValueError) -> int:
@@ -311,15 +311,8 @@ def t_invariants(T) -> TInvariants:
 
 
 def diagonal_lengths(p: Partition) -> HilbertFunction:
-    """Diagonal lengths of a shape, validated as a Hilbert function.
-
-    Left-justified shapes always produce admissible sequences, so the
-    :class:`NonAdmissible` branch guards against internal errors only.
-    """
-    try:
-        return HilbertFunction(p.diagonal_profile())
-    except InvalidT as exc:  # pragma: no cover - impossible for partitions
-        raise NonAdmissible(str(exc)) from exc
+    """Diagonal lengths of a shape, validated as a Hilbert function."""
+    return HilbertFunction(p.diagonal_profile())
 
 
 @lru_cache(maxsize=None)

@@ -278,22 +278,13 @@ def ramification_count_example() -> TripleRamificationCount:
     )
     count = prod.point_coefficient()
 
-    # f_a = x (x + y)(x + a y) = x^3 + (1+a) x^2 y + a x y^2, coefficients as
-    # polynomials in a; rows are x^3 f, x^2 y f, x y^2 f, y^3 f written in the
-    # basis (x^5 y, x^4 y^2, x^3 y^3, x^2 y^4) of R_6 mod <y^6, x y^5, x^6>.
-    one, a_lin, one_plus_a = [1], [0, 1], [1, 1]
-    f_coeffs = {(3, 0): one, (2, 1): one_plus_a, (1, 2): a_lin}  # (xpow, ypow) -> poly in a
-    basis = [(5, 1), (4, 2), (3, 3), (2, 4)]
-    dropped = {(0, 6), (1, 5), (6, 0)}
-    matrix = []
-    for (mx, my) in [(3, 0), (2, 1), (1, 2), (0, 3)]:
-        row = {b: list(unipoly.ZERO) for b in basis}
-        for (fx, fy), poly in f_coeffs.items():
-            mono = (fx + mx, fy + my)
-            if mono in dropped:
-                continue
-            row[mono] = unipoly.add(row[mono], poly)
-        matrix.append([row[b] for b in basis])
+    # f_a = x (x + y)(x + a y) = x^3 + (1+a) x^2 y + a x y^2 has the
+    # coefficient f[k], a polynomial in a, on x^(3-k) y^k.  Row s is
+    # x^(3-s) y^s f_a and column c the monomial x^(5-c) y^(1+c) of the basis
+    # (x^5 y, x^4 y^2, x^3 y^3, x^2 y^4) of R_6 mod <y^6, x y^5, x^6>, so
+    # entry (s, c) is f[k] with k = c + 1 - s when 0 <= k <= 2, and 0 otherwise.
+    f = ([1], [1, 1], [0, 1])
+    matrix = [[f[c + 1 - s] if 0 <= c + 1 - s <= 2 else [0] for c in range(4)] for s in range(4)]
     det = unipoly.det(matrix)
     deg = unipoly.degree(det)
     return TripleRamificationCount(prod, count, tuple(det), deg, deg)

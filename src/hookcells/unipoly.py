@@ -21,8 +21,6 @@ from fractions import Fraction
 from .errors import InternalError, ZeroForm
 from .linalg import integer_model
 
-ZERO = (0,)
-
 
 def trim(p):
     n = len(p)

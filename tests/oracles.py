@@ -312,7 +312,9 @@ def monomials(form):
 
 def rational_roots(p):
     """Rational roots with multiplicities: every candidate a/b of the
-    rational root theorem is evaluated in Fractions, none skipped."""
+    rational root theorem in lowest terms is evaluated, none skipped, as the
+    integer b^n p(a/b) = sum c_k a^k b^(n-k); each root found is then
+    divided out in Fractions as often as it goes."""
     p = _trim(p)
     den = math.lcm(*(Fraction(c).denominator for c in p))
     ip = [int(c * den) for c in p]
@@ -325,10 +327,19 @@ def rational_roots(p):
         ip = ip[k:]
     if len(ip) == 1:
         return roots
-    cands = {Fraction(s * num, d) for num in _divisors(abs(ip[0]))
-             for d in _divisors(abs(ip[-1])) for s in (1, -1)}
+    found = []
+    for num in _divisors(abs(ip[0])):
+        for d in _divisors(abs(ip[-1])):
+            if math.gcd(num, d) == 1:
+                for a in (num, -num):
+                    acc, d_k = 0, 1
+                    for c in reversed(ip):
+                        acc = acc * a + c * d_k
+                        d_k *= d
+                    if not acc:
+                        found.append(Fraction(a, d))
     fp = [Fraction(c) for c in ip]
-    for r in sorted(cands):
+    for r in sorted(found):
         mult = 0
         while eval_at(fp, r) == 0:
             fp, rem = divmod_(fp, [-r, Fraction(1)])

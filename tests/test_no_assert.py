@@ -16,7 +16,7 @@ SOURCES = [*sorted(Path(hookcells.__file__).parent.glob("*.py")), Path(__file__)
 UNDER_O = """
 import sys
 from hookcells import CellParams, FormSpace, GradedIdeal, HilbertFunction, MonomialIdeal, Partition
-from hookcells import total_ramification_check
+from hookcells import POINT_Y, ram_data, total_ramification_check
 from hookcells.errors import HookcellsError
 
 
@@ -26,6 +26,14 @@ def forged_wronskian():
     space = FormSpace(2, [[1, 0, 0], [0, 1, 0]])
     object.__setattr__(space, "_wronskian", (2, (-1, 0, 1)))
     return total_ramification_check(space)
+
+
+def forged_orders():
+    # span{x^2, x y} stored, with x^2 twice as its given rows: the orders
+    # at y = 0 lose a dimension
+    space = FormSpace(2, [[1, 0, 0], [0, 1, 0]])
+    object.__setattr__(space, "_given", ((1, 0, 0), (1, 0, 0)))
+    return ram_data(space, POINT_Y)
 
 
 checks = [
@@ -48,6 +56,7 @@ checks = [
     lambda: FormSpace._of_triangular_rows(2, [[1, 2, 0], [3, 1, 0]]),
     lambda: CellParams.from_json({"partition": [100], "params": []}),
     forged_wronskian,
+    forged_orders,
 ]
 print(sys.flags.optimize)
 for check in checks:
@@ -76,5 +85,5 @@ def test_checks_run_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "1", "NotAnIdeal", "NotAnIdeal", "InconsistentParams", "NotAnIdeal", "DegenerateBasis", "OutOfRange",
-        "InternalError",
+        "InternalError", "InternalError",
     ]

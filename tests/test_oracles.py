@@ -1,16 +1,17 @@
-"""Differential tests: fraction-free row reduction, both integer
-determinant paths, the integer Wronskian, with the known power of x
-divided out, the filtered rational root search and its mod-p no-root
-certificate, the Horner frame change, the vanishing orders read off the
-given rows, the echelon storage of a space with its reduced rows formed on
-demand, membership by pivot reduction on the echelon rows,
-the one-pass generator rows, the stored Wronskian, the triangular ideal
-pieces, the closure check by row identity, the one-scan pair sets and the
-one-pass initial shape against the slow paths in ``oracles``,
-``linalg.in_rowspace`` and ``change_basis``; the Hilbert function a
-monomial ideal derives from its shape; the tangent spaces at the
-torus-fixed points against ``t_invariants`` and ``cells.dims``; and the
-ring of the pencil-bundle varieties against Atiyah-Bott localization."""
+"""Differential tests: fraction-free row reduction, the echelon basis
+built by insertion, both integer determinant paths, the integer
+Wronskian, with the known power of x divided out, the filtered rational
+root search and its mod-p no-root certificate, the Horner frame change,
+the vanishing orders read off the given rows, the echelon storage of a
+space with its reduced rows formed on demand, membership by pivot
+reduction on the echelon rows, the one-pass generator rows, the stored
+Wronskian, the triangular ideal pieces, the closure check by row
+identity, the one-scan pair sets and the one-pass initial shape against
+the slow paths in ``oracles``, ``linalg.in_rowspace`` and
+``change_basis``; the Hilbert function a monomial ideal derives from its
+shape; the tangent spaces at the torus-fixed points against
+``t_invariants`` and ``cells.dims``; and the ring of the pencil-bundle
+varieties against Atiyah-Bott localization."""
 
 import copy
 import math
@@ -614,8 +615,26 @@ def colliding_rows(draw):
 def test_orders_are_the_pivots_of_the_echelon_form(case):
     rows, ncols, shuffled = case
     expect = tuple(oracles.rref(rows, ncols)[1])
-    assert binforms._forward_orders(rows) == expect
-    assert binforms._forward_orders(shuffled) == expect
+    assert binforms._orders(FormSpace(ncols - 1, rows), POINT_Y) == expect
+    assert binforms._orders(FormSpace(ncols - 1, shuffled), POINT_Y) == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_insertion_echelon_matches_fraction_oracle(case):
+    """``linalg._echelon`` keeps one row per dimension, dropping the
+    dependent and zero rows, with the pivots of the oracle's reduced form
+    under decreasing column order, each row primitive, zero past its pivot
+    and positive there, and spans the same space."""
+    rows, ncols, _ = case
+    rows = [linalg.integer_model(row) for row in rows]
+    order = range(ncols - 1, -1, -1)
+    expect, expect_piv = oracles.rref(rows, ncols, order)
+    ech, piv = linalg._echelon(rows)
+    assert piv == expect_piv and len(ech) == len(expect)
+    for row, p in zip(ech, piv):
+        assert row[p] > 0 and not any(row[p + 1:]) and gcd(*row) == 1
+    assert oracles.rref(ech, ncols, order)[0] == expect
 
 
 @st.composite
