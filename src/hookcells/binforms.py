@@ -135,8 +135,8 @@ MAX_FORM_DEGREE = 10_000
 class FormSpace:
     """A subspace of the degree-j forms, held as a row echelon basis.
 
-    Pivot search runs through the monomials in increasing order, so each
-    basis row's initial monomial is a pivot and row i has strictly larger
+    Each basis row pivots at its initial monomial, its last nonzero column,
+    and the rows run by decreasing pivot, so row i has strictly larger
     x-adic valuation than row i-1.
 
     The space stores the echelon basis that ``linalg._echelon`` or the
@@ -144,12 +144,12 @@ class FormSpace:
     its pivot with a positive entry, the pivots decreasing.  Membership, the
     closure check of an ideal and the frame change read them as they are.
 
-    ``rows``, formed on first read and kept, is the reduced row echelon
-    basis, each row its primitive integer multiple with a positive entry at
-    the pivot.  That basis is unique, and so is that multiple of each of its
-    rows, so two spaces are equal (and hash equally) exactly when they are
-    the same subspace.  ``basis`` gives the rational reduced rows, each
-    divided by its pivot entry.
+    ``rows``, back-substituted on first read and kept, is the reduced row
+    echelon basis, each row its primitive integer multiple with a positive
+    entry at the pivot.  That basis is unique, and so is that multiple of
+    each of its rows, so two spaces are equal (and hash equally) exactly
+    when they are the same subspace.  ``basis`` gives the rational reduced
+    rows, each divided by its pivot entry.
 
     A space also keeps the rows it was built from, each as its primitive
     integer multiple: a basis whose entries are usually much smaller than
@@ -207,9 +207,9 @@ class FormSpace:
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The reduced row echelon basis, each row primitive with a positive
-        pivot entry: the stored rows cleared above their pivots, once."""
+        pivot entry, back-substituted from the stored rows once."""
         if self._reduced is None:
-            red, _ = linalg._rref_primitive(list(self._echelon), self.degree + 1, self.pivots)
+            red = linalg._back_substitute(self._echelon, self.pivots)
             object.__setattr__(self, "_reduced", tuple(map(tuple, red)))
         return self._reduced
 
@@ -259,25 +259,15 @@ class FormSpace:
         return self.degree + 1 - self.dim
 
     def contains(self, form) -> bool:
-        """Membership by reduction against the stored echelon rows: each row
-        is 0 past its pivot, so cross-multiplying at each pivot from the
-        highest down clears the form there for good, and leaves zero exactly
-        when the form lies in the space.  ``form`` is a :class:`BinaryForm`
+        """Membership by ``linalg._reduce`` against the stored echelon rows,
+        which are zero past their pivots.  ``form`` is a :class:`BinaryForm`
         or a coefficient row."""
         return self._holds(linalg.integer_model(self._row(self.degree, form)))
 
     def _holds(self, v) -> bool:
         """:meth:`contains` for an integer coefficient row of the right
-        length, taken as it is."""
-        # not linalg._clear: only zero matters here, so dividing out the content would be wasted work
-        for row, p in zip(self._echelon, self.pivots):
-            c = v[p]
-            if c:
-                a = row[p]
-                g = math.gcd(a, c)
-                s, t = a // g, c // g
-                v = [s * x - t * y for x, y in zip(v, row)]
-        return not any(v)
+        length, taken as it is: its reduction, content kept, is zero."""
+        return not any(linalg._reduce(v, self._echelon, self.pivots))
 
     def to_json(self):
         return {

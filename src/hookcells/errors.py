@@ -14,7 +14,7 @@ class InvalidT(HookcellsError):
 
 
 class NotFound(HookcellsError):
-    """Lookup failed where a result was guaranteed; internal inconsistency."""
+    """A hook code does not fit the boxes of its Hilbert function: bad input."""
 
 
 class DegenerateBasis(HookcellsError):

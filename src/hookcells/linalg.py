@@ -6,9 +6,11 @@ fraction-free style of Bareiss (*Math. Comp.* 22, 1968): each row is first
 cleared of denominators and divided by its content, a row is cleared at a
 pivot by cross-multiplying with the pivot row, and every new row is divided
 by its content (its gcd) again, which keeps the entries no larger than the
-primitive echelon rows need.  Pivot search may follow an arbitrary column
-priority, which is how the monomial orders elsewhere in the package are
-imposed.
+primitive echelon rows need.  There is one forward elimination,
+:func:`_echelon`, and one reduction loop, :func:`_reduce`, which serves
+membership and, with the content divided out at the end, back-substitution.
+:func:`rref` permutes the columns to follow an arbitrary column priority,
+which is how the monomial orders elsewhere in the package are imposed.
 """
 
 import math
@@ -30,40 +32,27 @@ def integer_model(row):
 def rref(rows, ncols, col_order=None):
     """Bring ``rows`` into reduced row echelon form, scaled to integers.
 
-    ``col_order`` lists column indices in pivot-priority order; the default is
-    left to right.  Returns ``(reduced, pivots)`` where ``reduced`` drops zero
-    rows and is sorted so pivot columns appear in priority order, and
-    ``pivots`` is the list of pivot columns in the same order.  Each reduced
-    row is the primitive integer multiple of the reduced row echelon row with
-    a positive entry at its pivot; dividing it by that entry gives the
-    rational echelon row.
+    ``col_order``, a permutation of ``range(ncols)`` (ValueError otherwise),
+    lists the columns in pivot-priority order; the default is left to right.
+    Returns ``(reduced, pivots)`` where ``reduced`` drops zero rows and is
+    sorted so pivot columns appear in priority order, and ``pivots`` is the
+    list of pivot columns in the same order.  Each reduced row is the
+    primitive integer multiple of the reduced row echelon row with a positive
+    entry at its pivot; dividing it by that entry gives the rational row.
     """
-    return _rref_primitive([integer_model(r) for r in rows], ncols, col_order)
+    order = list(range(ncols) if col_order is None else col_order)
+    if sorted(order) != list(range(ncols)):
+        raise ValueError(f"column order {order} is not a permutation of range({ncols})")
+    perm = order[::-1]  # _echelon pivots at the last nonzero column
+    ech, piv = _echelon([integer_model([r[c] for c in perm]) for r in rows])
+    back = sorted(range(ncols), key=perm.__getitem__)
+    return [[row[k] for k in back] for row in _back_substitute(ech, piv)], [perm[p] for p in piv]
 
 
-def _rref_primitive(m, ncols, col_order=None):
-    """:func:`rref` of a new list ``m`` of primitive integer rows, reordered and overwritten in place."""
-    if col_order is None:
-        col_order = range(ncols)
-    pivots = []
-    nrows = len(m)
-    r = 0
-    for c in col_order:
-        if r == nrows:
-            break
-        src = next((i for i in range(r, nrows) if m[i][c]), None)
-        if src is None:
-            continue
-        prow = m[src]
-        if prow[c] < 0:
-            prow = [-x for x in prow]
-        m[src], m[r] = m[r], prow
-        for i in range(nrows):
-            if m[i][c] and i != r:
-                m[i] = _clear(m[i], prow, c)
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+def _back_substitute(ech, piv):
+    """The reduced row echelon basis, each row primitive with a positive
+    pivot, of the rows and pivots that :func:`_echelon` returns."""
+    return [integer_model(_reduce(row, ech[i + 1:], piv[i + 1:])) for i, row in enumerate(ech)]
 
 
 def _echelon(rows):
@@ -96,7 +85,7 @@ def _last(row):
 def _clear(row, prow, c):
     """The primitive multiple of ``prow[c] * row - row[c] * prow``: integer
     ``row`` cleared at column ``c`` by the pivot row ``prow``, both nonzero
-    there: the step of :func:`rref` and :func:`_echelon`."""
+    there: the step of :func:`_echelon`."""
     g = math.gcd(prow[c], row[c])
     s, t = prow[c] // g, row[c] // g
     out = [s * x - t * y for x, y in zip(row, prow)]
@@ -104,8 +93,22 @@ def _clear(row, prow, c):
     return [x // g for x in out] if g > 1 else out
 
 
+def _reduce(row, ech, piv):
+    """Integer ``row`` cross-multiplied clear at each pivot of the echelon
+    rows ``ech``, highest first: zero exactly when it is in their span, and
+    scaled by a positive integer past their top pivot.  It keeps the
+    content, which :func:`_clear` divides out: a zero test needs no division."""
+    for prow, p in zip(ech, piv):
+        c = row[p]
+        if c:
+            g = math.gcd(prow[p], c)
+            s, t = prow[p] // g, c // g
+            row = [s * x - t * y for x, y in zip(row, prow)]
+    return row
+
+
 def rank(rows, ncols):
-    return len(rref(rows, ncols)[0])
+    return len(_echelon([integer_model(r) for r in rows])[1])
 
 
 def nullspace(rows, ncols):

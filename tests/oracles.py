@@ -679,6 +679,22 @@ def secant_pullback(mu, j, i):
     return iota_pullback(AmbientClass(mu, j, tuple(sorted(terms.items()))))
 
 
+def secant_preimage_class(mu, j, i):
+    """The class in P^mu x P^j of Z_i, the degree-mu forms whose Hankel
+    matrix has rank at most i: the preimage of the i-th secant variety of
+    the rational normal curve C_j, of dimension mu + i - 1 when
+    2 mu < j + 1.  Z_i is the birational image of P(R_{mu-i}) x P(E),
+    f = g h, with E over P(R_i) the rank-i bundle (g R_{j-i})^perp in
+    R_j^*, so for a + b = mu + i - 1 the integral of zeta^a eta^b over Z_i
+    is C(a, mu-i) C(j-i+1, b-i+1): the coefficient of
+    zeta^(mu-a) eta^(j-b)."""
+    terms = {}
+    for a in range(mu - i, mu + 1):
+        b = mu + i - 1 - a
+        terms[(mu - a, j - b)] = math.comb(a, mu - i) * math.comb(j - i + 1, b - i + 1)
+    return AmbientClass.make(mu, j, terms)
+
+
 @lru_cache(maxsize=None)
 def _partitions_of(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:

@@ -590,6 +590,16 @@ def test_rref_matches_fraction_oracle(case):
     assert all(sum((a * b for a, b in zip(row, v)), F(0)) == 0 for row in rows for v in null)
 
 
+@pytest.mark.parametrize("rows, col_order", [
+    ([[0, 1]], [0]),  # a column left out, which hid the pivot
+    ([[1, 1], [0, 1]], [0, 0]),  # a column twice, which lost a rank
+    ([[1, 0]], [0, 5]),  # a column out of range
+])
+def test_rref_rejects_a_column_order_that_is_not_a_permutation(rows, col_order):
+    with pytest.raises(ValueError):
+        linalg.rref(rows, 2, col_order)
+
+
 # integer entries, small or of a few hundred bits
 int_entries = st.one_of(st.integers(-9, 9), st.integers(-2**300, 2**300))
 

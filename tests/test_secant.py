@@ -173,6 +173,33 @@ def test_secant_pullback_closed_form_top_rank():
             assert got == expect
 
 
+def test_secant_pullback_pushes_forward_to_the_secant_preimage_near_the_top_rank():
+    """For i = mu and i = mu - 1 the pushforward of the rank-i pullback is
+    [Z_i], whose integral of zeta^(mu-i) eta^(2i-1) is the degree
+    C(j+1-i, i) of the i-th secant variety of the rational normal curve."""
+    for mu in range(2, 7):
+        for j in range(2 * mu, 2 * mu + 6):
+            for i in (mu - 1, mu):
+                expect = oracles.secant_preimage_class(mu, j, i)
+                assert expect.as_dict()[(i, j - 2 * i + 1)] == comb(j + 1 - i, i)
+                assert iota_pushforward(secant_pullback(mu, j, i)) == expect
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: secant_pullback for i <= mu - 2 is not [Z_i]")
+def test_secant_pullback_pushes_forward_to_the_secant_preimage_below():
+    """For i <= mu - 2 the library's class differs from [Z_i]: at (3, 6, 1)
+    its pushforward has negative coefficients, e^6 - 2*z*e^5 - ..., where
+    [Z_1] is 3*e^6 + 6*z*e^5."""
+    differ = [
+        (mu, j, i)
+        for mu in range(3, 7)
+        for j in range(2 * mu, 2 * mu + 6)
+        for i in range(1, mu - 1)
+        if iota_pushforward(secant_pullback(mu, j, i)) != oracles.secant_preimage_class(mu, j, i)
+    ]
+    assert not differ
+
+
 def test_secant_pullback_range_errors():
     with pytest.raises(OutOfRange):
         secant_pullback(3, 6, 0)
