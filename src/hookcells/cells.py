@@ -423,7 +423,9 @@ def small_grass_coords(ideal: GradedIdeal) -> tuple[SmallGrassChart, ...]:
     spanned by the shifts of the previous cobasis diagonal modulo the
     monomials whose x-shift stays in the shape; the ideal piece meets it in
     a complement to the span of the hands, and the chart is the induced
-    projection matrix.
+    projection matrix.  The pivots of the piece are the shape's degree-i
+    monomials, so its reduced row at one, m, is zero at the others, and the
+    chart reads minus its entry at a hand h over its entry at m.
     """
     T = ideal.hilbert_function
     E0 = big_cell(T)
@@ -436,21 +438,11 @@ def small_grass_coords(ideal: GradedIdeal) -> tuple[SmallGrassChart, ...]:
         u_set = {m for m in shifted if not E0.contains((m[0] + 1, m[1]))}
         ambient = sorted(shifted - u_set, key=mono_key)
         hands = sorted((m for m in ambient if not E0.contains(m)), key=lambda m: -m[0])
-        others = [m for m in ambient if E0.contains(m)]
-        # one echelon form of the degree-i piece, the monomials outside
-        # `shifted` taking priority: the rows that pivot past them span its
-        # vectors supported on `shifted`.  Those pivoting in u_set vanish on
-        # the quotient, and the rest must pivot on `others`.  A monomial's
-        # column in a coefficient row is its y-power.
-        outside = [yp for yp in range(i + 1) if (i - yp, yp) not in shifted]
-        order = outside + [m[1] for m in others + hands] + [m[1] for m in u_set]
-        red, piv = linalg.rref(ideal.pieces[i]._echelon, i + 1, col_order=order)
-        rows = {(i - p, p): row for row, p in zip(red, piv) if (i - p, p) in ambient}
-        if list(rows) != others:
-            raise NotInBigCell(f"degree-{i} chart is degenerate")
+        # a monomial's column in a coefficient row is its y-power
+        rows = dict(zip(ideal.pieces[i].pivots, ideal.pieces[i].rows))
         matrix = tuple(
             tuple(
-                Fraction(-rows[m][h[1]], rows[m][m[1]]) if m in rows else Fraction(int(m == h))
+                Fraction(-rows[m[1]][h[1]], rows[m[1]][m[1]]) if m[1] in rows else Fraction(int(m == h))
                 for m in ambient
             )
             for h in hands

@@ -9,8 +9,8 @@ by its content (its gcd) again, which keeps the entries no larger than the
 primitive echelon rows need.  There is one forward elimination,
 :func:`_echelon`, and one reduction loop, :func:`_reduce`, which serves
 membership and, with the content divided out at the end, back-substitution.
-:func:`rref` permutes the columns to follow an arbitrary column priority,
-which is how the monomial orders elsewhere in the package are imposed.
+:func:`rref` reverses its rows, since :func:`_echelon` pivots at the last
+nonzero column, and reverses the reduced rows back.
 """
 
 import math
@@ -29,24 +29,24 @@ def integer_model(row):
     return [c // g for c in ip] if g > 1 else ip
 
 
-def rref(rows, ncols, col_order=None):
-    """Bring ``rows`` into reduced row echelon form, scaled to integers.
-
-    ``col_order``, a permutation of ``range(ncols)`` (ValueError otherwise),
-    lists the columns in pivot-priority order; the default is left to right.
-    Returns ``(reduced, pivots)`` where ``reduced`` drops zero rows and is
-    sorted so pivot columns appear in priority order, and ``pivots`` is the
-    list of pivot columns in the same order.  Each reduced row is the
-    primitive integer multiple of the reduced row echelon row with a positive
-    entry at its pivot; dividing it by that entry gives the rational row.
+def rref(rows, ncols):
+    """The reduced row echelon form of ``rows``, each of ``ncols`` entries
+    (ValueError otherwise), as ``(reduced, pivots)``: the nonzero reduced
+    rows by increasing pivot column, and those columns.  Each row is the
+    primitive integer multiple, positive at its pivot, of the rational
+    reduced row, which it gives when divided by its pivot entry.
     """
-    order = list(range(ncols) if col_order is None else col_order)
-    if sorted(order) != list(range(ncols)):
-        raise ValueError(f"column order {order} is not a permutation of range({ncols})")
-    perm = order[::-1]  # _echelon pivots at the last nonzero column
-    ech, piv = _echelon([integer_model([r[c] for c in perm]) for r in rows])
-    back = sorted(range(ncols), key=perm.__getitem__)
-    return [[row[k] for k in back] for row in _back_substitute(ech, piv)], [perm[p] for p in piv]
+    ech, piv = _echelon([row[::-1] for row in _integer_rows(rows, ncols)])
+    return [row[::-1] for row in _back_substitute(ech, piv)], [ncols - 1 - p for p in piv]
+
+
+def _integer_rows(rows, ncols):
+    """:func:`integer_model` of each row, all of ``ncols`` entries (ValueError otherwise)."""
+    out = [integer_model(row) for row in rows]
+    for i, row in enumerate(out):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} has length {len(row)}, not {ncols}")
+    return out
 
 
 def _back_substitute(ech, piv):
@@ -108,7 +108,8 @@ def _reduce(row, ech, piv):
 
 
 def rank(rows, ncols):
-    return len(_echelon([integer_model(r) for r in rows])[1])
+    """The rank of ``rows``, each of ``ncols`` entries (ValueError otherwise)."""
+    return len(_echelon(_integer_rows(rows, ncols))[1])
 
 
 def nullspace(rows, ncols):

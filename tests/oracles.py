@@ -17,9 +17,10 @@ recursion on the largest part, the hook code read off the hooks of a shape,
 the boxes of T and the box check of a code, both read off ``T.value``, a
 depth-first search for the shapes of given diagonal lengths, the dense
 cell built row by row from the largest degree each row reaches, the pair set
-S(E) read off the hooks of the shape, and the initial ideal regrouped row by
-row from the set of its cobasis cells.  They share no code with the paths
-they check.
+S(E) read off the hooks of the shape, the initial ideal regrouped row by
+row from the set of its cobasis cells, and the small-Grassmannian charts by
+a second elimination of each piece under a column priority.  They share no
+code with the paths they check.
 
 The torus weights of the tangent space Hom_R(E, R/E)_0 at a monomial ideal
 E, by linear algebra on the syzygies of adjacent generators, check
@@ -48,7 +49,8 @@ from functools import lru_cache
 from hookcells import (
     AmbientClass, BinaryForm, BundleClass, FormSpace, HookCode, MonomialIdeal, Partition, SchubertClass,
 )
-from hookcells.errors import InternalError, InvalidT
+from hookcells.cells import SmallGrassChart
+from hookcells.errors import InternalError, InvalidT, NotInBigCell
 from hookcells.partitions import as_hilbert, box_complement, box_partitions, hooks
 from hookcells.unipoly import _divisors
 
@@ -818,6 +820,43 @@ def big_cell(T) -> MonomialIdeal:
     if E.hilbert_function != T or len(set(parts)) != len(parts):
         raise InvalidT(f"no distinct-parts shape with diagonal lengths {list(T.t)}")
     return E
+
+
+def small_grass_chart(ideal):
+    """The charts of ``cells.small_grass_coords`` by a second elimination of
+    each degree-i piece, on its stored echelon rows, under a column
+    priority: first the monomials outside the shifts of the previous
+    cobasis diagonal, then the ideal monomials among those shifts, then the
+    hands, then the shifts whose x-shift stays in the shape.  The rows that
+    pivot past the first group span the vectors of the piece supported on
+    the shifts, and those pivoting on an ideal monomial give the chart.  The
+    ideal is in the dense cell when the pivots of each piece under the
+    reverse column order, its initial monomials, are the shape's.  A column
+    in a coefficient row is the y-power of its monomial."""
+    T = ideal.hilbert_function
+    E0 = big_cell(T)
+    charts = []
+    for i in range(T.mu, T.j + 1):
+        lead = rref(ideal.pieces[i]._echelon, i + 1, col_order=range(i, -1, -1))[1]
+        if sorted(lead) != [yp for yp in range(i + 1) if E0.contains((i - yp, yp))]:
+            raise NotInBigCell("ideal is not in the dense cell")
+        prev = E0.cobasis(i - 1)
+        shifted = {(m[0] + 1, m[1]) for m in prev} | {(m[0], m[1] + 1) for m in prev}
+        u_set = {m for m in shifted if not E0.contains((m[0] + 1, m[1]))}
+        ambient = sorted(shifted - u_set, key=_mono_key)
+        hands = sorted((m for m in ambient if not E0.contains(m)), key=lambda m: -m[0])
+        others = [m for m in ambient if E0.contains(m)]
+        outside = [yp for yp in range(i + 1) if (i - yp, yp) not in shifted]
+        order = outside + [m[1] for m in others + hands] + [m[1] for m in u_set]
+        red, piv = rref(ideal.pieces[i]._echelon, i + 1, col_order=order)
+        rows = {(i - p, p): row for row, p in zip(red, piv) if (i - p, p) in ambient}
+        if list(rows) != others:
+            raise NotInBigCell(f"degree-{i} chart is degenerate")
+        matrix = tuple(
+            tuple(-rows[m][h[1]] if m in rows else Fraction(int(m == h)) for m in ambient) for h in hands
+        )
+        charts.append(SmallGrassChart(i, tuple(hands), tuple(ambient), matrix))
+    return tuple(charts)
 
 
 def tangent_weights(E) -> list[int]:

@@ -3,6 +3,7 @@ import dataclasses
 import pickle
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 
@@ -346,6 +347,32 @@ def test_small_grass_coords_reads_off_parameters():
                         assert entry == params.values[(mono, hand)]
                         seen += 1
         assert seen == len(pair_set_S(E0))
+
+
+def test_small_grass_coords_match_the_priority_order_oracle():
+    """The charts read off the reduced rows each piece keeps equal those of
+    a second elimination under a column priority, with one-digit integer
+    values and with nine-digit numerators over nine-digit denominators."""
+    rng = random.Random(28)
+    for T in hilbert_functions_upto(12):
+        E0 = big_cell(T)
+        for num, den in ((9, 1), (10**9, 10**9)):
+            I = build_ideal(random_params(rng, E0, num, den))
+            assert small_grass_coords(I) == oracles.small_grass_chart(I)
+
+
+def test_small_grass_coords_of_pieces_rebuilt_from_their_basis():
+    """Pieces rebuilt through the public constructor from running sums of
+    their basis forms, from the lowest pivot up, store rows that are not
+    reduced, unlike the generator multiples that ``build_ideal`` stores:
+    the stored rows differ, the reduced rows and the charts do not."""
+    I = build_ideal(random_params(random.Random(29), big_cell([1, 2, 3, 4, 5, 4, 3, 2, 1]), 10**9, 10**9))
+    sums = {d: accumulate((f.coeffs for f in reversed(piece.basis)), lambda a, b: [x + y for x, y in zip(a, b)])
+            for d, piece in I.pieces.items()}
+    J = GradedIdeal(I.hilbert_function, {d: FormSpace(d, list(rows)) for d, rows in sums.items()})
+    assert any(J.pieces[d]._echelon not in (I.pieces[d]._echelon, I.pieces[d].rows) for d in I.pieces)
+    assert all(J.pieces[d].rows == I.pieces[d].rows for d in I.pieces)
+    assert small_grass_coords(J) == small_grass_coords(I) == oracles.small_grass_chart(J)
 
 
 def test_small_grass_requires_big_cell():

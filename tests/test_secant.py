@@ -185,6 +185,16 @@ def test_secant_pullback_pushes_forward_to_the_secant_preimage_near_the_top_rank
                 assert iota_pushforward(secant_pullback(mu, j, i)) == expect
 
 
+def test_eta_power_integrates_to_the_degree_of_the_secant_variety():
+    """G_T maps birationally onto the mu-th secant variety of the rational
+    normal curve of degree j, and eta pulls back its hyperplane class, so
+    the integral of eta^(2 mu - 1) over G_T is its degree C(j + 1 - mu, mu)."""
+    for mu in range(1, 8):
+        for j in range(2 * mu, 2 * mu + 9):
+            eta = iota_pullback(AmbientClass.make(mu, j, {(0, 2 * mu - 1): 1}))
+            assert eta.point_coefficient() == comb(j + 1 - mu, mu)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: secant_pullback for i <= mu - 2 is not [Z_i]")
 def test_secant_pullback_pushes_forward_to_the_secant_preimage_below():
     """For i <= mu - 2 the library's class differs from [Z_i]: at (3, 6, 1)
