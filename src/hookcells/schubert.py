@@ -82,22 +82,34 @@ class Combination:
     def make(cls, *ring_and_terms):
         """The class of the ring with ``terms``, a dict or an iterable of
         (key, coefficient) pairs.  Equal keys are summed, first as given and
-        then after ``_key`` has normalized each distinct one; zero sums and
-        rejected keys are dropped.  A coefficient that is not an integer (a
-        float, a Fraction, a boolean) raises ValueError."""
+        then, by ``_sum``, after ``_key`` has normalized each distinct one;
+        zero sums and rejected keys are dropped.  A coefficient that is not
+        an integer (a float, a Fraction, a boolean) raises ValueError."""
         *ring, terms = ring_and_terms
         if not isinstance(terms, dict):
             pairs, terms = terms, {}
             get = terms.get
             for key, coeff in pairs:
                 terms[key] = get(key, 0) + (coeff if type(coeff) is int else _index(coeff, "coefficient"))
-        key_of, out = cls._key, {}
+        key_of, checked = cls._key, []
         for key, coeff in terms.items():
             if type(coeff) is not int:
                 coeff = _index(coeff, "coefficient")
             key = key_of(*ring, key)
-            if key is not None and coeff:
-                out[key] = out.get(key, 0) + coeff
+            if key is not None:
+                checked.append((key, coeff))
+        return cls._sum(*ring, checked)
+
+    @classmethod
+    def _sum(cls, *ring_and_pairs):
+        """The class of the ring with ``pairs``, (key, coefficient) pairs
+        whose keys are already in normal form and in range: equal keys are
+        summed, zero sums dropped and the terms sorted by key."""
+        *ring, pairs = ring_and_pairs
+        out = {}
+        get = out.get
+        for key, coeff in pairs:
+            out[key] = get(key, 0) + coeff
         return cls(*ring, tuple(sorted([term for term in out.items() if term[1]])))
 
     @property
@@ -117,10 +129,10 @@ class Combination:
 
     def __add__(self, other):
         self._check(other)
-        return self.make(*self.ring.values(), self.terms + other.terms)
+        return self._sum(*self.ring.values(), self.terms + other.terms)
 
     def __neg__(self):
-        return self.make(*self.ring.values(), [(k, -c) for k, c in self.terms])
+        return self._sum(*self.ring.values(), [(k, -c) for k, c in self.terms])
 
     def __sub__(self, other):
         return self + (-other)
@@ -159,7 +171,8 @@ class SchubertClass(Combination):
 
     @classmethod
     def basis(cls, box, parts) -> "SchubertClass":
-        return cls.make(box, {_norm_partition(parts): 1})
+        rows, cols = box
+        return cls._sum((rows, cols), [(cls._key(box, parts), 1)])
 
     @classmethod
     def one(cls, box) -> "SchubertClass":
@@ -196,7 +209,7 @@ def lr_multiply(x: SchubertClass, y: SchubertClass) -> SchubertClass:
     """Product in the cohomology ring, truncated to the box."""
     x._check(y)
     rows, cols = x.box
-    return SchubertClass.make(x.box, [
+    return SchubertClass._sum(x.box, [
         (lam, c1 * c2 * co)
         for p1, c1 in x.terms
         for p2, c2 in y.terms
@@ -206,7 +219,8 @@ def lr_multiply(x: SchubertClass, y: SchubertClass) -> SchubertClass:
 
 def pieri_multiply(x: SchubertClass) -> SchubertClass:
     """Multiply by the codimension-one class by adding a box in all legal
-    ways; kept as an independent cross-check of the tableau rule."""
+    ways; kept as an independent cross-check of the tableau rule, so its
+    padded keys still go through the key check of ``make``."""
     rows, cols = x.box
     return SchubertClass.make(x.box, [
         (padded[:r] + (padded[r] + 1,) + padded[r + 1:], c)

@@ -93,7 +93,7 @@ def _restrict(mu: int, j: int, kept, lifted) -> BundleClass:
     max(0, v+1-mu) <= i <= mu-u; ``OutOfRange`` past ``MAX_RING_SIZE``."""
     _check_size(mu, j)
     n = j + 1 - mu
-    return BundleClass.make(mu, j, kept + [t for t in lifted if sum(t[0]) < mu] + [
+    return BundleClass._sum(mu, j, kept + [t for t in lifted if sum(t[0]) < mu] + [
         ((u + i - 1, v - i + 1), c * comb(n, i))
         for (u, v), c in lifted if u + v >= mu
         for i in range(max(0, v + 1 - mu), min(n, mu - u) + 1)

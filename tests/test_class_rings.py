@@ -7,8 +7,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hookcells import AmbientClass, BundleClass, SchubertClass, lr_multiply, t_multiply
+from hookcells import (
+    AmbientClass,
+    BundleClass,
+    SchubertClass,
+    iota_pullback,
+    lr_multiply,
+    pieri_multiply,
+    secant_pullback,
+    t_multiply,
+)
 from hookcells.errors import BoxMismatch, ShapeMismatch
+from hookcells.partitions import box_partitions
 
 
 def test_schubert_make_raises_on_a_key_outside_the_box():
@@ -157,3 +167,30 @@ def test_make_of_pairs_matches_the_hand_summed_dict(case):
     got = ring.make(*args, iter(pairs))
     assert got == ring.make(*args, summed)
     assert got.terms == tuple(sorted((k, c) for k, c in expect.items() if c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rule_outputs_are_in_normal_form(data):
+    """The products, the pullbacks, + and - hand the keys they build to
+    ``_sum`` without the key check of ``make``.  So every key they emit must
+    already be in normal form and in range, the terms sorted and no
+    coefficient zero: ``make`` then gives the same class back.
+    ``pieri_multiply`` goes through ``make`` and is held to the same."""
+    draw, coeffs = data.draw, st.integers(-3, 3)
+    box = (draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+    x, y = (SchubertClass.make(box, draw(st.dictionaries(
+        st.sampled_from(box_partitions(*box)), coeffs, max_size=6))) for _ in range(2))
+    mu = draw(st.integers(1, 5))
+    j = draw(st.integers(mu, 13))
+    b, c = (BundleClass.make(mu, j, draw(st.dictionaries(
+        st.tuples(st.integers(0, mu - 1), st.integers(0, mu)), coeffs, max_size=6))) for _ in range(2))
+    a = AmbientClass.make(mu, j, draw(st.dictionaries(
+        st.tuples(st.integers(0, mu), st.integers(0, j)), coeffs, max_size=6)))
+    outputs = [lr_multiply(x, y), pieri_multiply(x), x + y, x - y, -x,
+               t_multiply(b, c), b + c, b - c, -b, iota_pullback(a), -a]
+    if 2 * mu < j + 1:
+        outputs.append(secant_pullback(mu, j, draw(st.integers(1, mu))))
+    for z in outputs:
+        assert list(z.terms) == sorted(z.terms) and all(coeff for _, coeff in z.terms)
+        assert type(z).make(*z.ring.values(), z.terms) == z

@@ -91,14 +91,24 @@ def test_lr_symmetry_and_associativity():
             assert lr_multiply(lr_multiply(a, b), c) == lr_multiply(a, lr_multiply(b, c))
 
 
-def test_lr_against_pieri():
-    rng = random.Random(0xB0B)
-    for box in [(2, 3), (3, 3), (3, 4)]:
-        pool = _box_partitions(*box)
-        s1 = SchubertClass.basis(box, (1,))
-        for _ in range(10):
-            x = SchubertClass.basis(box, rng.choice(pool))
-            assert lr_multiply(x, s1) == pieri_multiply(x)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lr_against_pieri(data):
+    """Pieri's rule agrees with the tableau rule on combinations with
+    coefficients -3..3 in boxes up to 4x6.  Two of the terms are c s[p] and
+    -c s[q], p and q one box inside a common shape lam, so the class of lam
+    cancels in the product unless the other terms add to it."""
+    box = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6)))
+    pool = _box_partitions(*box)
+    lam = data.draw(st.sampled_from(pool))
+    below = [p for p in pool if sum(p) == sum(lam) - 1 and _inside(p, lam)]
+    p = q = ()
+    if len(below) > 1:
+        p, q = data.draw(st.lists(st.sampled_from(below), min_size=2, max_size=2, unique=True))
+    c = data.draw(st.integers(1, 3))
+    others = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-3, 3)), max_size=4))
+    x = SchubertClass.make(box, others + [(p, c), (q, -c)])
+    assert lr_multiply(x, SchubertClass.basis(box, (1,))) == pieri_multiply(x)
 
 
 def test_poincare_pairing_exhaustive():
